@@ -2,8 +2,22 @@
 
 The relaxation tensor scales as tau(eps) = tau0 sqrt(theta/eps), so the
 whole-frequency-range coefficient collapses to a modified-Bessel kernel,
-a^3 d/da [K1(a)/a] = -a^2 K2(a), with a = hbar*omega / (2 theta_i).  The sign
-bookkeeping is: leading minus times the negative kernel gives K > 0.
+with a = hbar*omega / (2 theta_i).  The energy integral is
+
+    int_0^inf e^-x (2x + s) sqrt(x (x + s)) dx = 2 e^a a^2 K2(a),   s = 2a,
+
+which follows from x = a (cosh t - 1): e^-x = e^a e^{-a cosh t}, and
+int_0^inf e^{-a cosh t} sinh^2 t dt = K1(a)/a gives
+int_0^inf e^-x sqrt(x (x + s)) dx = (s/2) e^{s/2} K1(s/2); differentiating
+in a brings down cosh t = (2x + s)/s and a^3 d/da [K1(a)/a] = -a^2 K2(a).
+The factor e^a is why the kernel enters scaled, as a^2 K2e(a) with
+K2e(a) = e^a K2(a): it keeps each valley's absorption and emission in
+Kirchhoff balance, and K2e never underflows, however cold the electrons.
+
+:func:`_rates` is the general-regime rate core: per valley, the absorption
+rate before stimulated emission for polarization across and along the valley
+axis.  Absorption weighs it with 1 - e^{-s_i}; ``emission`` derives the
+spontaneous emission from the same rates by detailed balance.
 """
 
 from __future__ import annotations
@@ -13,9 +27,9 @@ from dataclasses import dataclass
 
 from .constants import C_LIGHT, E_CHARGE, HBAR
 from .errors import RegimeError
-from .geometry import Material, Polarization, Valley, ValleySet, cos_phi
+from .geometry import Material, Polarization, Terms, ValleySet, _absorbed, _populated, _project
 from .modes import CLASSICAL_S_MAX, QUANTUM_S_MIN, Regime
-from .special import bessel_k2
+from .special import acoustic_kernel_scaled
 
 __all__ = [
     "AcousticTensor",
@@ -61,19 +75,16 @@ def acoustic_tensor(material: Material, theta: float) -> AcousticTensor:
     )
 
 
-def _tensor_weight(material: Material, cos2phi: float) -> float:
-    """sin^2/(m_perp tau_perp) + cos^2/(m_par tau_par) at eps = theta_i.
+def _tensor_pair(material: Material) -> tuple[float, float]:
+    """(1/(m_perp tau_perp), 1/(m_par tau_par)) at eps = theta_i.
 
     tau_alpha(theta_i) = tau_alpha0 by the sqrt(theta/eps) scaling, so the
-    weight involves the bare prefactors.
+    pair involves the bare prefactors.
     """
-    return (1.0 - cos2phi) / (material.m_perp * material.tau_perp0) + cos2phi / (
-        material.m_par * material.tau_par0
+    return (
+        1.0 / (material.m_perp * material.tau_perp0),
+        1.0 / (material.m_par * material.tau_par0),
     )
-
-
-def _populated(valleys: ValleySet) -> list[Valley]:
-    return [v for v in valleys if v.n > 0.0]
 
 
 def check_classical_acoustic(valleys: ValleySet, omega: float) -> None:
@@ -96,6 +107,43 @@ def check_quantum_acoustic(valleys: ValleySet, omega: float) -> None:
             )
 
 
+def _rates(valleys: ValleySet, material: Material, omega: float) -> Terms:
+    """General-regime rate core: per populated valley, (valley, s, r_perp, r_par).
+
+    The pair is the valley's absorption coefficient before the
+    stimulated-emission factor 1 - e^{-2 a_i}: the factor
+    (16 sqrt(pi)/3 sqrt(eps0)) (e0^2/c hbar omega^3) times
+    n_i theta_i a_i^2 K2e(a_i) times :func:`_tensor_pair`, through the scaled
+    kernel so that no factor overflows or underflows at large a_i.
+    """
+    factor = _GENERAL_COEFF * E_CHARGE**2 / (math.sqrt(material.eps0) * C_LIGHT * HBAR * omega**3)
+    pair_perp, pair_par = _tensor_pair(material)
+    rates = []
+    for v in _populated(valleys):
+        a = HBAR * omega / (2.0 * v.theta)
+        scale = v.n * v.theta * -acoustic_kernel_scaled(a)
+        rates.append((v, 2.0 * a, scale * pair_perp, scale * pair_par))
+    return factor, rates
+
+
+def _classical_absorption(valleys: ValleySet, material: Material, omega: float) -> Terms:
+    check_classical_acoustic(valleys, omega)
+    pref = CLASSICAL_COEFF_ACOUSTIC * E_CHARGE**2 / (math.sqrt(material.eps0) * C_LIGHT * omega**2)
+    pair = _tensor_pair(material)
+    return pref, [(v, v.n, *pair) for v in _populated(valleys)]
+
+
+def _quantum_absorption(valleys: ValleySet, material: Material, omega: float) -> Terms:
+    check_quantum_acoustic(valleys, omega)
+    pref = _QUANTUM_COEFF * E_CHARGE**2 / (math.sqrt(material.eps0) * C_LIGHT * omega**2)
+    pair = _tensor_pair(material)
+    terms = []
+    for v in _populated(valleys):
+        a = HBAR * omega / (2.0 * v.theta)
+        terms.append((v, v.n * math.sqrt(2.0 * a) * (1.0 + 1.5 / a), *pair))
+    return pref, terms
+
+
 def absorption_acoustic(
     valleys: ValleySet,
     material: Material,
@@ -106,63 +154,26 @@ def absorption_acoustic(
     """Absorption coefficient K (cm^-1) under acoustic scattering.
 
     general:   (16 sqrt(pi)/3 sqrt(eps0)) (e0^2/c hbar) sum_i (n_i theta_i /
-               omega^3) (1 - e^{-hbar omega/theta_i}) {weight} a_i^2 K2(a_i)
+               omega^3) (1 - e^{-hbar omega/theta_i}) {weight} a_i^2 K2e(a_i),
+               K2e(a) = e^a K2(a)
     classical: (32 sqrt(pi)/3) (e0^2/sqrt(eps0) c omega^2) sum_i n_i {weight}
     quantum:   (4 pi/3) (e0^2/sqrt(eps0) c omega^2) sum_i n_i
-               sqrt(hbar omega/theta_i) e^{-a_i} (1 + 3/(2 a_i)) {weight},
-               the large-argument form of the Bessel kernel.
+               sqrt(hbar omega/theta_i) (1 + 3/(2 a_i)) {weight},
+               the large-argument form of the scaled kernel: an omega^-1.5
+               law with no exponential cut.
+
+    {weight} = (1 - cos^2 phi_i)/(m_perp tau_perp0) + cos^2 phi_i/(m_par tau_par0).
     """
     if not omega > 0.0:
         raise ValueError(f"omega must be positive, got {omega}")
     regime = Regime(regime)
-
     if regime is Regime.GENERAL:
-        total = 0.0
-        for v in _populated(valleys):
-            a = HBAR * omega / (2.0 * v.theta)
-            weight = _tensor_weight(material, cos_phi(v, pol) ** 2)
-            # (1 - e^{-2a}) times the kernel magnitude a^2 K2(a).
-            total += (
-                v.n * v.theta * (-math.expm1(-2.0 * a)) * weight * a * a * bessel_k2(a)
-            )
-        return (
-            _GENERAL_COEFF
-            * E_CHARGE**2
-            / (math.sqrt(material.eps0) * C_LIGHT * HBAR * omega**3)
-            * total
-        )
-
-    if regime is Regime.CLASSICAL:
-        check_classical_acoustic(valleys, omega)
-        total = sum(
-            v.n * _tensor_weight(material, cos_phi(v, pol) ** 2)
-            for v in _populated(valleys)
-        )
-        return (
-            CLASSICAL_COEFF_ACOUSTIC
-            * E_CHARGE**2
-            / (math.sqrt(material.eps0) * C_LIGHT * omega**2)
-            * total
-        )
-
-    check_quantum_acoustic(valleys, omega)
-    total = 0.0
-    for v in _populated(valleys):
-        a = HBAR * omega / (2.0 * v.theta)
-        weight = _tensor_weight(material, cos_phi(v, pol) ** 2)
-        total += (
-            v.n
-            * math.sqrt(2.0 * a)
-            * math.exp(-a)
-            * (1.0 + 1.5 / a)
-            * weight
-        )
-    return (
-        _QUANTUM_COEFF
-        * E_CHARGE**2
-        / (math.sqrt(material.eps0) * C_LIGHT * omega**2)
-        * total
-    )
+        terms = _absorbed(_rates(valleys, material, omega))
+    elif regime is Regime.CLASSICAL:
+        terms = _classical_absorption(valleys, material, omega)
+    else:
+        terms = _quantum_absorption(valleys, material, omega)
+    return _project(terms, pol)
 
 
 def mobility_acoustic(material: Material, theta: float) -> tuple[float, float]:

@@ -53,7 +53,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--workers",
         type=int,
-        help="evaluate sweep points with this many worker threads",
+        help="accepted and validated (>= 1); no effect on values or output bytes",
     )
     return parser
 

@@ -3,39 +3,35 @@
 The config document is plain JSON.  User-facing units (electron-mass
 multiples, eV or kelvin, cm^-3) are converted to internal CGS exactly once,
 here.  Sweeps evaluate either a frequency grid at fixed polarization or a
-polarization rotation at fixed frequency; rows are emitted in grid order so
-identical configs produce byte-identical CSV files, with or without worker
-threads.
+polarization rotation at fixed frequency.
+
+Each sweep row evaluates the per-valley terms of its observables at its
+frequency (``emission._terms``; with observable ``both`` the general regime
+runs the rate core once, emission following from absorption by detailed
+balance) and projects its polarization from them through the cos^2 affine
+split.  Rows are emitted in grid order, so identical configs produce
+byte-identical CSV files.  The ``workers`` key is accepted and validated,
+but evaluation is serial: it changes neither values nor bytes.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .acoustic import (
-    absorption_acoustic,
-    check_classical_acoustic,
-    check_quantum_acoustic,
-)
-from .constants import ERG_PER_EV, HBAR
-from .emission import emission_acoustic, emission_impurity
+from .constants import ERG_PER_EV, HBAR, theta_from_kelvin
+from .emission import _terms
 from .errors import ConfigError
 from .geometry import (
     Material,
     Polarization,
     Valley,
     ValleySet,
+    _project,
     load_preset,
-)
-from .impurity import (
-    absorption_impurity,
-    check_classical_impurity,
-    check_quantum_impurity,
 )
 from .modes import Mechanism, Observable, Regime
 from .quadrature import DEFAULT_QUADRATURE, QuadratureSpec
@@ -100,8 +96,6 @@ def _theta_erg(doc: dict, path: str) -> float:
     if has_k == has_ev:
         raise ConfigError(f"{path}: give exactly one of theta_K or theta_eV")
     if has_k:
-        from .constants import theta_from_kelvin
-
         return theta_from_kelvin(_number(doc["theta_K"], f"{path}.theta_K"))
     return _number(doc["theta_eV"], f"{path}.theta_eV") * ERG_PER_EV
 
@@ -156,8 +150,6 @@ def _parse_valleys(doc) -> ValleySet:
         key = "theta_K" if "theta_K" in doc else "theta_eV"
         raw = _scalar_or_list(doc[key], count, f"{path}.{key}")
         if key == "theta_K":
-            from .constants import theta_from_kelvin
-
             thetas = [theta_from_kelvin(t) for t in raw]
         else:
             thetas = [t * ERG_PER_EV for t in raw]
@@ -308,100 +300,53 @@ def parse_config(text: str) -> RunConfig:
     )
 
 
-def _check_point(config: RunConfig, omega: float) -> None:
-    if config.regime is Regime.GENERAL:
-        return
-    if config.mechanism is Mechanism.IMPURITY:
-        if config.regime is Regime.CLASSICAL:
-            check_classical_impurity(config.valleys, config.material, omega)
-        else:
-            check_quantum_impurity(config.valleys, config.material, omega)
-    else:
-        if config.regime is Regime.CLASSICAL:
-            check_classical_acoustic(config.valleys, omega)
-        else:
-            check_quantum_acoustic(config.valleys, omega)
-
-
-def _evaluate(config: RunConfig, omega: float, pol: Polarization) -> tuple:
-    want_absorption = config.observable in (Observable.ABSORPTION, Observable.BOTH)
-    want_emission = config.observable in (Observable.EMISSION, Observable.BOTH)
-    values: list[float] = []
-    if want_absorption:
-        if config.mechanism is Mechanism.IMPURITY:
-            k = absorption_impurity(
-                config.valleys, config.material, omega, pol, config.regime,
-                config.quadrature,
-            )
-        else:
-            k = absorption_acoustic(
-                config.valleys, config.material, omega, pol, config.regime
-            )
-        values.append(k)
-    if want_emission:
-        if config.mechanism is Mechanism.IMPURITY:
-            w = emission_impurity(
-                config.valleys, config.material, omega, pol, config.regime,
-                config.quadrature,
-            )
-        else:
-            w = emission_acoustic(
-                config.valleys, config.material, omega, pol, config.regime
-            )
-        values.append(w.dW_dOmega)
-    return tuple(values)
+_COLUMNS = {Observable.ABSORPTION: "K_per_cm", Observable.EMISSION: "dW_dOmega_cgs"}
 
 
 def run_sweep(config: RunConfig) -> SweepResult:
     """Evaluate the configured sweep; rows are ordered by grid index.
 
-    Regime guards run for every grid point before any evaluation starts, so
-    an invalid sweep fails fast naming the first offending frequency.
+    Each row evaluates the per-valley terms of the requested observables at
+    its frequency, once for both observables, and projects its polarization
+    from them.  Closed forms check their regime guards at each frequency in
+    grid order, so an invalid sweep fails at the first offending frequency
+    and names it.
     """
-    columns: list[str] = []
-    if config.sweep.kind == "phi":
-        columns.append("phi_rad")
+    observables = [
+        o for o in (Observable.ABSORPTION, Observable.EMISSION)
+        if config.observable in (o, Observable.BOTH)
+    ]
+    columns = ["phi_rad"] if config.sweep.kind == "phi" else []
     columns += ["omega_rad_per_s", "hbar_omega_eV"]
-    if config.observable in (Observable.ABSORPTION, Observable.BOTH):
-        columns.append("K_per_cm")
-    if config.observable in (Observable.EMISSION, Observable.BOTH):
-        columns.append("dW_dOmega_cgs")
+    columns += [_COLUMNS[o] for o in observables]
     columns += ["regime", "mechanism"]
 
     grid = config.sweep.grid()
     if config.sweep.kind == "omega":
-        tasks = [(float(w), config.polarization, None) for w in grid]
+        points = [(None, float(w), config.polarization) for w in grid]
     else:
         e1, e2 = config.sweep.plane
-        tasks = []
+        points = []
         for phi in grid:
             phi = float(phi)
             vec = tuple(
                 math.cos(phi) * a + math.sin(phi) * b for a, b in zip(e1, e2)
             )
-            tasks.append((config.sweep.omega, Polarization.from_vector(vec), phi))
+            points.append((phi, config.sweep.omega, Polarization.from_vector(vec)))
 
-    for omega, _pol, _phi in tasks:
-        _check_point(config, omega)
-
-    def build_row(task) -> tuple:
-        omega, pol, phi = task
-        values = _evaluate(config, omega, pol)
-        row: list = []
-        if phi is not None:
-            row.append(phi)
+    rows = []
+    for phi, omega, pol in points:
+        terms = _terms(
+            config.mechanism, config.regime, observables, config.valleys,
+            config.material, omega, config.quadrature,
+        )
+        row: list = [] if phi is None else [phi]
         row += [omega, HBAR * omega / ERG_PER_EV]
-        row += list(values)
+        row += [_project(t, pol) for t in terms]
         row += [config.regime.value, config.mechanism.value]
-        return tuple(row)
+        rows.append(tuple(row))
 
-    if config.workers > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            rows = tuple(pool.map(build_row, tasks))
-    else:
-        rows = tuple(build_row(t) for t in tasks)
-
-    return SweepResult(columns=tuple(columns), rows=rows)
+    return SweepResult(columns=tuple(columns), rows=tuple(rows))
 
 
 def _format_cell(value) -> str:

@@ -5,6 +5,21 @@ wave amplitude to one photon in the quantization volume and multiplying by
 the photon mode density per unit angular frequency and steradian.  The
 volume cancels, so results are reported per unit volume.
 
+Per valley this is Kirchhoff's law.  The power a valley absorbs from a wave
+of flux F is r_i F, with r_i its absorption rate before stimulated emission
+(``_rates`` in ``impurity`` and ``acoustic``); the power it emits into the
+same mode is e^{-s_i} r_i F (the energy shift eps -> eps + hbar omega in the
+Maxwellian).  One photon carries the flux F = sqrt(eps0) omega c hbar per
+unit volume, and the mode density is omega^2/(2 pi c)^3, so
+
+    dW/dOmega = sum_i e^{-s_i} r_i hbar omega^3 sqrt(eps0) / (8 pi^3 c^2),
+
+the same factor for both mechanisms; with K_i = (1 - e^{-s_i}) r_i this is
+dW_i/dOmega = K_i hbar omega^3 sqrt(eps0) / (8 pi^3 c^2 (e^{s_i} - 1)).  The
+general regime therefore has no emission formula of its own: it projects
+the absorption rate core with weight e^{-s_i} times that factor.  The
+classical and quantum closed forms keep their own asymptotic formulas.
+
 Output convention: ``dW_dOmega`` is energy per unit time, per steradian, per
 unit angular-frequency interval, per unit volume (erg s^-1 sr^-1 cm^-3 per
 rad/s, i.e. erg cm^-3 sr^-1).  Values are magnitudes for a single
@@ -17,22 +32,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .acoustic import (
-    _tensor_weight,
-    check_classical_acoustic,
-    check_quantum_acoustic,
-)
+from . import acoustic, impurity
 from .constants import C_LIGHT, E_CHARGE, HBAR
-from .geometry import Material, Polarization, Valley, ValleySet, cos_phi
-from .impurity import (
-    check_classical_impurity,
-    check_quantum_impurity,
-    p_plus,
-    x_min,
-)
-from .modes import Mechanism, Regime
+from .geometry import Material, Polarization, Terms, ValleySet, _absorbed, _populated, _project
+
+# Re-exported: perfbench/tracing.py looks p_plus up in this module.
+from .impurity import p_plus  # noqa: F401
+from .modes import Mechanism, Observable, Regime
 from .quadrature import DEFAULT_QUADRATURE, QuadratureSpec
-from .special import acoustic_kernel_scaled, coulomb_log, psi_infinity
+from .special import coulomb_log, psi_infinity
 
 __all__ = [
     "EmissionResult",
@@ -44,7 +52,6 @@ __all__ = [
 
 _CLASSICAL_IMPURITY_COEFF = 1.0 / (2.0 * math.pi) ** 1.5
 _QUANTUM_IMPURITY_COEFF = 1.0 / (math.sqrt(2.0) * math.pi)
-_GENERAL_ACOUSTIC_COEFF = 2.0 / (3.0 * math.pi**2.5)
 _CLASSICAL_ACOUSTIC_COEFF = 4.0 / (3.0 * math.pi**2.5)
 _QUANTUM_ACOUSTIC_COEFF = 1.0 / (6.0 * math.pi**2)
 
@@ -79,8 +86,101 @@ def mode_density(omega: float, volume: float) -> float:
     return volume * omega**2 / (2.0 * math.pi * C_LIGHT) ** 3
 
 
-def _populated(valleys: ValleySet) -> list[Valley]:
-    return [v for v in valleys if v.n > 0.0]
+def _emitted(rates: Terms, material: Material, omega: float) -> Terms:
+    """Emission terms by detailed balance: w_i = e^{-s_i}, and the factor
+    gains the flux of one photon times the mode density,
+    hbar omega^3 sqrt(eps0)/(8 pi^3 c^2)."""
+    factor, per_valley = rates
+    kirchhoff = HBAR * omega**3 * math.sqrt(material.eps0) / (8.0 * math.pi**3 * C_LIGHT**2)
+    return factor * kirchhoff, [(v, math.exp(-s), rp, rl) for v, s, rp, rl in per_valley]
+
+
+def _classical_impurity(valleys: ValleySet, material: Material, omega: float) -> Terms:
+    """(1/(2 pi)^{3/2}) e0^6 n_a sqrt(m_par) / (eps0^2 c^3 (m_par - m_perp)^2)
+    n_i L(x_min(theta_i)) / sqrt(theta_i) times Psi(inf); flat in omega."""
+    impurity.check_classical_impurity(valleys, material, omega)
+    scale = impurity._collision_scale(material) * math.sqrt(material.eps0) / C_LIGHT**2
+    pref = _CLASSICAL_IMPURITY_COEFF * scale
+    pair = psi_infinity(0.0, material), psi_infinity(1.0, material)
+    terms = []
+    for v in _populated(valleys):
+        log_term = coulomb_log(impurity.x_min(material, v.theta))
+        terms.append((v, v.n / math.sqrt(v.theta) * log_term, *pair))
+    return pref, terms
+
+
+def _quantum_impurity(valleys: ValleySet, material: Material, omega: float) -> Terms:
+    """(1/(sqrt 2 pi)) e0^6 n_a sqrt(m_par) / (eps0^2 c^3 (m_par - m_perp)^2
+    sqrt(hbar omega)) n_i e^{-hbar omega/theta_i} times Psi(inf)."""
+    impurity.check_quantum_impurity(valleys, material, omega)
+    scale = impurity._collision_scale(material) * math.sqrt(material.eps0) / C_LIGHT**2
+    pref = _QUANTUM_IMPURITY_COEFF * scale / math.sqrt(HBAR * omega)
+    pair = psi_infinity(0.0, material), psi_infinity(1.0, material)
+    return pref, [(v, v.n * math.exp(-HBAR * omega / v.theta), *pair) for v in _populated(valleys)]
+
+
+def _classical_acoustic(valleys: ValleySet, material: Material, omega: float) -> Terms:
+    """(4 e0^2/3 pi^{5/2} c^3) n_i theta_i times the tensor pair; flat in omega."""
+    acoustic.check_classical_acoustic(valleys, omega)
+    pref = _CLASSICAL_ACOUSTIC_COEFF * E_CHARGE**2 / C_LIGHT**3
+    pair = acoustic._tensor_pair(material)
+    return pref, [(v, v.n * v.theta, *pair) for v in _populated(valleys)]
+
+
+def _quantum_acoustic(valleys: ValleySet, material: Material, omega: float) -> Terms:
+    """(e0^2/6 pi^2 c^3) (n_i/sqrt(theta_i)) (hbar omega)^{3/2}
+    e^{-hbar omega/theta_i} times the tensor pair."""
+    acoustic.check_quantum_acoustic(valleys, omega)
+    pref = _QUANTUM_ACOUSTIC_COEFF * E_CHARGE**2 / C_LIGHT**3 * (HBAR * omega) ** 1.5
+    pair = acoustic._tensor_pair(material)
+    return pref, [
+        (v, v.n / math.sqrt(v.theta) * math.exp(-HBAR * omega / v.theta), *pair)
+        for v in _populated(valleys)
+    ]
+
+
+_CLOSED_FORMS = {
+    (Mechanism.IMPURITY, Regime.CLASSICAL, Observable.ABSORPTION): impurity._classical_absorption,
+    (Mechanism.IMPURITY, Regime.QUANTUM, Observable.ABSORPTION): impurity._quantum_absorption,
+    (Mechanism.IMPURITY, Regime.CLASSICAL, Observable.EMISSION): _classical_impurity,
+    (Mechanism.IMPURITY, Regime.QUANTUM, Observable.EMISSION): _quantum_impurity,
+    (Mechanism.ACOUSTIC, Regime.CLASSICAL, Observable.ABSORPTION): acoustic._classical_absorption,
+    (Mechanism.ACOUSTIC, Regime.QUANTUM, Observable.ABSORPTION): acoustic._quantum_absorption,
+    (Mechanism.ACOUSTIC, Regime.CLASSICAL, Observable.EMISSION): _classical_acoustic,
+    (Mechanism.ACOUSTIC, Regime.QUANTUM, Observable.EMISSION): _quantum_acoustic,
+}
+
+
+def _terms(
+    mechanism: Mechanism, regime: Regime, observables: list[Observable],
+    valleys: ValleySet, material: Material, omega: float, spec: QuadratureSpec,
+) -> list[Terms]:
+    """Per-valley terms of each observable (ABSORPTION or EMISSION) at one
+    frequency.  In the general regime the rate core runs once and every
+    observable projects from it; closed forms check their regime guards."""
+    if regime is Regime.GENERAL:
+        if mechanism is Mechanism.IMPURITY:
+            rates = impurity._rates(valleys, material, omega, spec)
+        else:
+            rates = acoustic._rates(valleys, material, omega)
+        return [
+            _absorbed(rates) if o is Observable.ABSORPTION else _emitted(rates, material, omega)
+            for o in observables
+        ]
+    return [_CLOSED_FORMS[mechanism, regime, o](valleys, material, omega) for o in observables]
+
+
+def _emission(
+    mechanism: Mechanism, valleys: ValleySet, material: Material, omega: float,
+    pol: Polarization, regime: Regime | str, spec: QuadratureSpec,
+) -> EmissionResult:
+    if not omega > 0.0:
+        raise ValueError(f"omega must be positive, got {omega}")
+    regime = Regime(regime)
+    (terms,) = _terms(mechanism, regime, [Observable.EMISSION], valleys, material, omega, spec)
+    return EmissionResult(
+        dW_dOmega=_project(terms, pol), omega=omega, regime=regime, mechanism=mechanism
+    )
 
 
 def emission_impurity(
@@ -93,68 +193,13 @@ def emission_impurity(
 ) -> EmissionResult:
     """Spontaneous emission intensity under impurity scattering.
 
-    The general branch applies the one-photon substitution once: per valley,
-    |emitted power| = e^{-hbar omega/theta} p_plus evaluated at the
-    photon-normalized amplitude, times the mode density (volume cancels).
+    general:   by detailed balance from the impurity rate core (module
+               docstring), i.e. per valley e^{-hbar omega/theta_i} times
+               p_plus at the one-photon amplitude times the mode density.
+    classical: flat in omega, through the Conwell-Weisskopf logarithm.
+    quantum:   (hbar omega)^{-1/2} e^{-hbar omega/theta_i}, unscreened.
     """
-    if not omega > 0.0:
-        raise ValueError(f"omega must be positive, got {omega}")
-    regime = Regime(regime)
-
-    if regime is Regime.GENERAL:
-        a0 = photon_amplitude(omega, 1.0)
-        rho = mode_density(omega, 1.0)
-        total = 0.0
-        for v in _populated(valleys):
-            s = HBAR * omega / v.theta
-            total += math.exp(-s) * p_plus(v, material, omega, pol, a0, spec)
-        value = total * rho
-
-    elif regime is Regime.CLASSICAL:
-        check_classical_impurity(valleys, material, omega)
-        pref = (
-            _CLASSICAL_IMPURITY_COEFF
-            * E_CHARGE**6
-            * material.n_a
-            * math.sqrt(material.m_par)
-            / (material.eps0**2 * C_LIGHT**3 * material.mass_contrast**2)
-        )
-        total = 0.0
-        for v in _populated(valleys):
-            log_term = coulomb_log(x_min(material, v.theta))
-            total += (
-                v.n
-                / math.sqrt(v.theta)
-                * psi_infinity(cos_phi(v, pol) ** 2, material)
-                * log_term
-            )
-        value = pref * total
-
-    else:
-        check_quantum_impurity(valleys, material, omega)
-        pref = (
-            _QUANTUM_IMPURITY_COEFF
-            * E_CHARGE**6
-            * material.n_a
-            * math.sqrt(material.m_par)
-            / (
-                material.eps0**2
-                * C_LIGHT**3
-                * material.mass_contrast**2
-                * math.sqrt(HBAR * omega)
-            )
-        )
-        total = 0.0
-        for v in _populated(valleys):
-            s = HBAR * omega / v.theta
-            total += (
-                v.n * psi_infinity(cos_phi(v, pol) ** 2, material) * math.exp(-s)
-            )
-        value = pref * total
-
-    return EmissionResult(
-        dW_dOmega=value, omega=omega, regime=regime, mechanism=Mechanism.IMPURITY
-    )
+    return _emission(Mechanism.IMPURITY, valleys, material, omega, pol, regime, spec)
 
 
 def emission_acoustic(
@@ -167,51 +212,13 @@ def emission_acoustic(
     """Spontaneous emission intensity under acoustic scattering.
 
     general:   (2 e0^2/3 pi^{5/2} c^3) sum_i n_i theta_i e^{-2 a_i} {weight}
-               e^{a_i} a_i^2 K2(a_i)
+               e^{a_i} a_i^2 K2(a_i), by detailed balance from the acoustic
+               rate core (module docstring)
     classical: (4 e0^2/3 pi^{5/2} c^3) sum_i n_i theta_i {weight}; note the
                complete absence of omega: the classical spectrum is flat.
     quantum:   (e0^2/6 pi^2 c^3) sum_i (n_i/sqrt(theta_i)) (hbar omega)^{3/2}
                e^{-hbar omega/theta_i} {weight}
     """
-    if not omega > 0.0:
-        raise ValueError(f"omega must be positive, got {omega}")
-    regime = Regime(regime)
-
-    if regime is Regime.GENERAL:
-        total = 0.0
-        for v in _populated(valleys):
-            a = HBAR * omega / (2.0 * v.theta)
-            weight = _tensor_weight(material, cos_phi(v, pol) ** 2)
-            # e^{-2a} * e^{a} a^2 K2(a), grouped through the scaled kernel so
-            # neither factor overflows at large a.
-            total += (
-                v.n
-                * v.theta
-                * weight
-                * math.exp(-2.0 * a)
-                * (-acoustic_kernel_scaled(a))
-            )
-        value = _GENERAL_ACOUSTIC_COEFF * E_CHARGE**2 / C_LIGHT**3 * total
-
-    elif regime is Regime.CLASSICAL:
-        check_classical_acoustic(valleys, omega)
-        total = sum(
-            v.n * v.theta * _tensor_weight(material, cos_phi(v, pol) ** 2)
-            for v in _populated(valleys)
-        )
-        value = _CLASSICAL_ACOUSTIC_COEFF * E_CHARGE**2 / C_LIGHT**3 * total
-
-    else:
-        check_quantum_acoustic(valleys, omega)
-        total = 0.0
-        for v in _populated(valleys):
-            s = HBAR * omega / v.theta
-            weight = _tensor_weight(material, cos_phi(v, pol) ** 2)
-            total += (
-                v.n / math.sqrt(v.theta) * (HBAR * omega) ** 1.5 * math.exp(-s) * weight
-            )
-        value = _QUANTUM_ACOUSTIC_COEFF * E_CHARGE**2 / C_LIGHT**3 * total
-
-    return EmissionResult(
-        dW_dOmega=value, omega=omega, regime=regime, mechanism=Mechanism.ACOUSTIC
+    return _emission(
+        Mechanism.ACOUSTIC, valleys, material, omega, pol, regime, DEFAULT_QUADRATURE
     )

@@ -7,6 +7,9 @@ temperature theta_i (erg) and concentration n_i (cm^-3), so hot-electron and
 pressure-redistributed populations are expressible per valley.
 
 All types are immutable after construction and all operations are pure.
+
+The observables are computed as per-valley terms and combined by one
+projection, :func:`_project`, which is where the polarization enters.
 """
 
 from __future__ import annotations
@@ -278,6 +281,39 @@ def cos_phi(valley: Valley, pol: Polarization) -> float:
     """Cosine of the angle between the valley axis and the polarization."""
     a, q = valley.axis, pol.q0
     return a[0] * q[0] + a[1] * q[1] + a[2] * q[2]
+
+
+# Per-valley terms.  Every observable is a common factor times a sum over
+# populated valleys of a weight w_i times a polarization-independent pair
+# (r_perp_i, r_par_i): the valley's values for polarization across and along
+# its axis.  Terms are (factor, [(valley, w_i, r_perp_i, r_par_i), ...]);
+# rates have the same shape with s_i = hbar*omega/theta_i in place of w_i,
+# before an observable's weight.  The factor is applied once, after the sum,
+# so that tiny weights such as e^{-s_i} meet the large pairs while both are
+# still far from underflow.
+Terms = tuple[float, list[tuple]]
+
+
+def _populated(valleys: ValleySet) -> list[Valley]:
+    return [v for v in valleys if v.n > 0.0]
+
+
+def _project(terms: Terms, pol: Polarization) -> float:
+    """factor * sum_i w_i [(1 - c_i^2) r_perp_i + c_i^2 r_par_i] with
+    c_i = cos(phi_i): the value of an observable at polarization ``pol``,
+    exactly affine in each c_i^2."""
+    factor, per_valley = terms
+    total = 0.0
+    for valley, w, r_perp, r_par in per_valley:
+        c2 = cos_phi(valley, pol) ** 2
+        total += w * ((1.0 - c2) * r_perp + c2 * r_par)
+    return factor * total
+
+
+def _absorbed(rates: Terms) -> Terms:
+    """Absorption terms: each rate net of stimulated emission, w_i = 1 - e^{-s_i}."""
+    factor, per_valley = rates
+    return factor, [(v, -math.expm1(-s), r_perp, r_par) for v, s, r_perp, r_par in per_valley]
 
 
 def debye_radius(eps0: float, theta: float, n_total: float) -> float:

@@ -7,9 +7,13 @@ integral to boundary terms.  Classical (s = hbar*omega/theta << 1) and
 quantum (s >> 1) closed forms replicate the standard asymptotics, including
 the Conwell-Weisskopf logarithm and the anisotropic relaxation tensor.
 
-Everything here is affine in cos^2(phi_i): each valley's spectral integral is
-computed once per transverse/longitudinal endpoint and combined linearly, so
-polarization laws hold to machine precision rather than quadrature tolerance.
+Everything here is affine in cos^2(phi_i): the rate core :func:`_rates`
+computes each distinct temperature's transverse/longitudinal endpoint
+integrals once and returns per-valley (r_perp, r_par) pairs, which the
+shared projection combines linearly, so polarization laws hold to machine
+precision rather than quadrature tolerance.  Absorption, the absorbed power
+``p_plus`` and (in ``emission``) spontaneous emission all project from the
+same rates.
 """
 
 from __future__ import annotations
@@ -19,7 +23,17 @@ from dataclasses import dataclass
 
 from .constants import C_LIGHT, E_CHARGE, HBAR
 from .errors import RegimeError
-from .geometry import Material, Polarization, Valley, ValleySet, cos_phi
+from .geometry import (
+    Material,
+    Polarization,
+    Valley,
+    ValleySet,
+    Terms,
+    _absorbed,
+    _populated,
+    _project,
+    incident_flux,
+)
 from .modes import (
     CLASSICAL_S_MAX,
     QUANTUM_S_MIN,
@@ -150,6 +164,46 @@ def combine_endpoints(
     return (1.0 - cos2phi) * i1 + cos2phi * 2.0 * (material.m_perp / material.m_par) * i2
 
 
+def _collision_scale(material: Material) -> float:
+    """e0^6 n_a sqrt(m_par) / (eps0^{5/2} c (m_par - m_perp)^2), shared by the
+    general form and the Psi(inf) closed forms of both observables."""
+    return (
+        E_CHARGE**6 * material.n_a * math.sqrt(material.m_par)
+        / (material.eps0**2.5 * C_LIGHT * material.mass_contrast**2)
+    )
+
+
+def _rates(
+    valleys: ValleySet,
+    material: Material,
+    omega: float,
+    spec: QuadratureSpec = DEFAULT_QUADRATURE,
+) -> Terms:
+    """General-regime rate core: per populated valley, (valley, s, r_perp, r_par).
+
+    The pair is the valley's absorption coefficient (cm^-1) before the
+    stimulated-emission factor 1 - e^{-s}, for polarization across and along
+    its axis: the factor (2 pi)^{3/2} :func:`_collision_scale` / (hbar omega^3)
+    times n_i / sqrt(theta_i) times I1 or 2 (m_perp/m_par) I2 of
+    :func:`spectral_endpoints`, which runs once per distinct valley
+    temperature.
+    """
+    factor = _GENERAL_COEFF * _collision_scale(material) / (HBAR * omega**3)
+    endpoints: dict[float, tuple[float, float]] = {}
+    rates = []
+    for v in _populated(valleys):
+        if v.theta not in endpoints:
+            endpoints[v.theta] = spectral_endpoints(material, v.theta, omega, spec)
+        scale = v.n / math.sqrt(v.theta)
+        rates.append((
+            v,
+            HBAR * omega / v.theta,
+            scale * combine_endpoints(endpoints[v.theta], 0.0, material),
+            scale * combine_endpoints(endpoints[v.theta], 1.0, material),
+        ))
+    return factor, rates
+
+
 def p_plus(
     valley: Valley,
     material: Material,
@@ -158,29 +212,14 @@ def p_plus(
     A0: float,
     spec: QuadratureSpec = DEFAULT_QUADRATURE,
 ) -> float:
-    """Power absorbed per unit volume by one valley (erg s^-1 cm^-3).
-
-    Prefactor (e0^6 n_a n_i / 4 eps0^2 c^2 hbar omega) sqrt(2 pi m_par/theta)
-    A0^2/(m_par - m_perp)^2 times the polarization-resolved spectral integral.
-    """
+    """Power absorbed per unit volume by one valley (erg s^-1 cm^-3): its
+    rate before the stimulated-emission factor times the incident flux of a
+    wave of amplitude A0."""
     if not omega > 0.0:
         raise ValueError(f"omega must be positive, got {omega}")
-    if valley.n == 0.0:
-        return 0.0
-    c2 = cos_phi(valley, pol) ** 2
-    integral = combine_endpoints(
-        spectral_endpoints(material, valley.theta, omega, spec), c2, material
-    )
-    pref = (
-        E_CHARGE**6
-        * material.n_a
-        * valley.n
-        / (4.0 * material.eps0**2 * C_LIGHT**2 * HBAR * omega)
-        * math.sqrt(2.0 * math.pi * material.m_par / valley.theta)
-        * A0**2
-        / material.mass_contrast**2
-    )
-    return pref * integral
+    factor, rates = _rates(ValleySet((valley,)), material, omega, spec)
+    flux = incident_flux(omega, A0, material.eps0)
+    return _project((factor * flux, [(v, 1.0, rp, rl) for v, _s, rp, rl in rates]), pol)
 
 
 def p_minus(
@@ -196,10 +235,6 @@ def p_minus(
     electrons)."""
     s = HBAR * omega / valley.theta
     return -math.exp(-s) * p_plus(valley, material, omega, pol, A0, spec)
-
-
-def _populated(valleys: ValleySet) -> list[Valley]:
-    return [v for v in valleys if v.n > 0.0]
 
 
 def check_classical_impurity(valleys: ValleySet, material: Material, omega: float) -> None:
@@ -237,6 +272,28 @@ def check_quantum_impurity(valleys: ValleySet, material: Material, omega: float)
             )
 
 
+def _classical_absorption(valleys: ValleySet, material: Material, omega: float) -> Terms:
+    """Classical closed-form absorption terms: (3 pi^{3/2}/2) e0^2 n_i /
+    (sqrt(eps0) c omega^2) times (1/(m_perp tau_perp), 1/(m_par tau_par))."""
+    check_classical_impurity(valleys, material, omega)
+    pref = CLASSICAL_COEFF * E_CHARGE**2 / math.sqrt(material.eps0) / (C_LIGHT * omega**2)
+    terms = []
+    for v in _populated(valleys):
+        tau = relaxation_impurity(material, v.theta)
+        pair = 1.0 / (material.m_perp * tau.tau_perp), 1.0 / (material.m_par * tau.tau_par)
+        terms.append((v, v.n, *pair))
+    return pref, terms
+
+
+def _quantum_absorption(valleys: ValleySet, material: Material, omega: float) -> Terms:
+    """Quantum closed-form absorption terms: the unscreened shape function
+    Psi(inf) times n_i, an omega^-3.5 law."""
+    check_quantum_impurity(valleys, material, omega)
+    pref = _QUANTUM_COEFF * _collision_scale(material) / (omega**2 * (HBAR * omega) ** 1.5)
+    psi_perp, psi_par = psi_infinity(0.0, material), psi_infinity(1.0, material)
+    return pref, [(v, v.n, psi_perp, psi_par) for v in _populated(valleys)]
+
+
 def absorption_impurity(
     valleys: ValleySet,
     material: Material,
@@ -247,79 +304,21 @@ def absorption_impurity(
 ) -> float:
     """Absorption coefficient K (cm^-1) under ionized-impurity scattering.
 
-    ``general`` evaluates the full quadrature form; ``classical`` and
-    ``quantum`` evaluate the closed-form limits and refuse to run outside
-    their validity windows (RegimeError) rather than extrapolate silently.
+    ``general`` projects the rate core net of stimulated emission;
+    ``classical`` and ``quantum`` evaluate the closed-form limits and refuse
+    to run outside their validity windows (RegimeError) rather than
+    extrapolate silently.
     """
     if not omega > 0.0:
         raise ValueError(f"omega must be positive, got {omega}")
     regime = Regime(regime)
-
     if regime is Regime.GENERAL:
-        pref = (
-            _GENERAL_COEFF
-            * E_CHARGE**6
-            * material.n_a
-            * math.sqrt(material.m_par)
-            / (
-                material.eps0**2.5
-                * C_LIGHT
-                * material.mass_contrast**2
-                * HBAR
-                * omega**3
-            )
-        )
-        total = 0.0
-        endpoint_cache: dict[float, tuple[float, float]] = {}
-        for v in _populated(valleys):
-            s = HBAR * omega / v.theta
-            if v.theta not in endpoint_cache:
-                endpoint_cache[v.theta] = spectral_endpoints(material, v.theta, omega, spec)
-            integral = combine_endpoints(
-                endpoint_cache[v.theta], cos_phi(v, pol) ** 2, material
-            )
-            total += v.n / math.sqrt(v.theta) * (-math.expm1(-s)) * integral
-        return pref * total
-
-    if regime is Regime.CLASSICAL:
-        check_classical_impurity(valleys, material, omega)
-        total = 0.0
-        tensor_cache: dict[float, RelaxationTensor] = {}
-        for v in _populated(valleys):
-            if v.theta not in tensor_cache:
-                tensor_cache[v.theta] = relaxation_impurity(material, v.theta)
-            tau = tensor_cache[v.theta]
-            c2 = cos_phi(v, pol) ** 2
-            total += v.n * (
-                (1.0 - c2) / (material.m_perp * tau.tau_perp)
-                + c2 / (material.m_par * tau.tau_par)
-            )
-        return (
-            CLASSICAL_COEFF
-            * E_CHARGE**2
-            / math.sqrt(material.eps0)
-            / (C_LIGHT * omega**2)
-            * total
-        )
-
-    check_quantum_impurity(valleys, material, omega)
-    total = 0.0
-    for v in _populated(valleys):
-        total += v.n * psi_infinity(cos_phi(v, pol) ** 2, material)
-    return (
-        _QUANTUM_COEFF
-        * E_CHARGE**6
-        * material.n_a
-        * math.sqrt(material.m_par)
-        / (
-            material.eps0**2.5
-            * C_LIGHT
-            * material.mass_contrast**2
-            * omega**2
-            * (HBAR * omega) ** 1.5
-        )
-        * total
-    )
+        terms = _absorbed(_rates(valleys, material, omega, spec))
+    elif regime is Regime.CLASSICAL:
+        terms = _classical_absorption(valleys, material, omega)
+    else:
+        terms = _quantum_absorption(valleys, material, omega)
+    return _project(terms, pol)
 
 
 def relaxation_impurity(material: Material, theta: float) -> RelaxationTensor:

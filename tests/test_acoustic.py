@@ -52,6 +52,15 @@ class TestAbsorptionAcoustic:
         kc = mv.absorption_acoustic(single_valley, ge_material, omega, pol_skew, "classical")
         assert abs(kg / kc - 1.0) < 0.01
 
+    def test_general_to_classical_second_order(self, ge_material, single_valley, pol_skew):
+        # with the scaled kernel the first-order e^{-a} error is gone: the
+        # forms differ by O(a^2) at a = 1e-2
+        theta = single_valley.valleys[0].theta
+        omega = omega_for_a(1e-2, theta)
+        kg = mv.absorption_acoustic(single_valley, ge_material, omega, pol_skew, "general")
+        kc = mv.absorption_acoustic(single_valley, ge_material, omega, pol_skew, "classical")
+        assert abs(kg / kc - 1.0) < 1e-4
+
     def test_general_to_quantum_limit(self, ge_material, single_valley, pol_skew):
         theta = single_valley.valleys[0].theta
         omega = omega_for_a(20.0, theta)

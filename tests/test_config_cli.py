@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -255,3 +256,20 @@ class TestCli:
         assert cli.main(["--config", cfg, "--output", str(out1)]) == 0
         assert cli.main(["--config", cfg, "--output", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_cold_acoustic_absorption_sweep(self, tmp_path):
+        # a = hbar omega / 2 theta reaches ~900 at 4.2 K and 1e15 rad/s
+        doc = base_config(
+            mechanism="acoustic", regime="general", observable="absorption",
+            valleys={"preset": "Ge4", "n": 1.0e16, "theta_K": 4.2},
+            sweep={"kind": "omega", "min": 1.0e12, "max": 1.0e15, "points": 12,
+                   "scale": "log"},
+        )
+        cfg = self.write_config(tmp_path, doc)
+        out = tmp_path / "cold.csv"
+        assert cli.main(["--config", cfg, "--output", str(out)]) == 0
+        with open(out, newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        assert len(rows) == 12
+        values = [float(row["K_per_cm"]) for row in rows]
+        assert all(math.isfinite(k) and k > 0.0 for k in values)
