@@ -8,9 +8,7 @@ Internal units are Gaussian CGS throughout.
 """
 
 from .acoustic import (
-    AcousticTensor,
     absorption_acoustic,
-    acoustic_tensor,
     mobility_acoustic,
     tau_acoustic,
 )
@@ -23,14 +21,12 @@ from .config import (
     write_csv,
 )
 from .constants import (
-    CGS,
     C_LIGHT,
     E_CHARGE,
     EULER_GAMMA,
     HBAR,
     K_BOLTZMANN,
     M_ELECTRON,
-    PhysicalConstants,
     theta_from_ev,
     theta_from_kelvin,
 )
@@ -51,16 +47,13 @@ from .geometry import (
     debye_radius,
     incident_flux,
     load_preset,
-    preset_axes,
 )
 from .impurity import (
-    QLimits,
     RelaxationTensor,
     absorption_impurity,
     mobility_impurity,
     p_minus,
     p_plus,
-    q_limits,
     relaxation_impurity,
     x_min,
 )
@@ -88,8 +81,6 @@ from .special import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AcousticTensor",
-    "CGS",
     "C_LIGHT",
     "DEFAULT_QUADRATURE",
     "ConfigError",
@@ -102,9 +93,7 @@ __all__ = [
     "Material",
     "Mechanism",
     "Observable",
-    "PhysicalConstants",
     "Polarization",
-    "QLimits",
     "QuadratureError",
     "QuadratureSpec",
     "Regime",
@@ -119,7 +108,6 @@ __all__ = [
     "absorption_acoustic",
     "absorption_impurity",
     "acoustic_kernel",
-    "acoustic_tensor",
     "b_param",
     "bessel_k0",
     "bessel_k1",
@@ -140,10 +128,8 @@ __all__ = [
     "p_plus",
     "parse_config",
     "photon_amplitude",
-    "preset_axes",
     "psi",
     "psi_infinity",
-    "q_limits",
     "relaxation_impurity",
     "run_sweep",
     "shape_b1",

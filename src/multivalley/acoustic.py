@@ -23,7 +23,6 @@ spontaneous emission from the same rates by detailed balance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .constants import C_LIGHT, E_CHARGE, HBAR
 from .errors import RegimeError
@@ -32,8 +31,6 @@ from .modes import CLASSICAL_S_MAX, QUANTUM_S_MIN, Regime
 from .special import acoustic_kernel_scaled
 
 __all__ = [
-    "AcousticTensor",
-    "acoustic_tensor",
     "tau_acoustic",
     "absorption_acoustic",
     "mobility_acoustic",
@@ -51,28 +48,6 @@ def tau_acoustic(epsilon: float, theta: float, tau0: float) -> float:
     if epsilon <= 0.0 or theta <= 0.0 or tau0 <= 0.0:
         raise ValueError("epsilon, theta and tau0 must be positive")
     return tau0 * math.sqrt(theta / epsilon)
-
-
-@dataclass(frozen=True)
-class AcousticTensor:
-    """Energy-dependent acoustic relaxation-time pair for one valley
-    temperature; tau_alpha(eps) = tau_alpha0 * sqrt(theta/eps)."""
-
-    theta: float
-    tau_perp0: float
-    tau_par0: float
-
-    def tau_perp(self, epsilon: float) -> float:
-        return tau_acoustic(epsilon, self.theta, self.tau_perp0)
-
-    def tau_par(self, epsilon: float) -> float:
-        return tau_acoustic(epsilon, self.theta, self.tau_par0)
-
-
-def acoustic_tensor(material: Material, theta: float) -> AcousticTensor:
-    return AcousticTensor(
-        theta=theta, tau_perp0=material.tau_perp0, tau_par0=material.tau_par0
-    )
 
 
 def _tensor_pair(material: Material) -> tuple[float, float]:

@@ -3,7 +3,7 @@
 Batch tool: read a JSON config, evaluate the sweep, write CSV.
 
 Exit codes: 0 success, 2 configuration error, 3 regime-validity error,
-4 numerical (quadrature) failure.
+4 numerical failure (quadrature or floating-point arithmetic).
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ def main(argv: list[str] | None = None) -> int:
             config = replace(config, mechanism=Mechanism(args.mechanism))
         if args.regime:
             config = replace(config, regime=Regime(args.regime))
-        if args.workers:
+        if args.workers is not None:
             if args.workers < 1:
                 raise ConfigError(f"--workers must be >= 1, got {args.workers}")
             config = replace(config, workers=args.workers)
@@ -91,6 +91,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_REGIME
     except QuadratureError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except ArithmeticError as exc:
+        print(f"numerical error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 
     print(f"wrote {len(result.rows)} rows to {output}")

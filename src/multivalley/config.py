@@ -34,7 +34,6 @@ from .geometry import (
     load_preset,
 )
 from .modes import Mechanism, Observable, Regime
-from .quadrature import DEFAULT_QUADRATURE, QuadratureSpec
 
 __all__ = ["SweepSpec", "RunConfig", "SweepResult", "parse_config", "run_sweep", "write_csv"]
 
@@ -66,7 +65,6 @@ class RunConfig:
     observable: Observable
     output: str | None = None
     workers: int = 1
-    quadrature: QuadratureSpec = DEFAULT_QUADRATURE
 
 
 @dataclass(frozen=True)
@@ -85,9 +83,17 @@ def _number(value, path: str, positive: bool = True) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {value!r}")
     value = float(value)
+    if not math.isfinite(value):
+        raise ConfigError(f"{path}: must be finite, got {value}")
     if positive and not value > 0.0:
         raise ConfigError(f"{path}: must be positive, got {value}")
     return value
+
+
+def _vector(value, path: str) -> tuple[float, float, float]:
+    if not isinstance(value, list) or len(value) != 3:
+        raise ConfigError(f"{path}: expected a 3-vector")
+    return tuple(_number(v, f"{path}[{i}]", positive=False) for i, v in enumerate(value))
 
 
 def _theta_erg(doc: dict, path: str) -> float:
@@ -102,7 +108,7 @@ def _theta_erg(doc: dict, path: str) -> float:
 
 def _scalar_or_list(value, count: int, path: str) -> list[float]:
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return [float(value)] * count
+        return [_number(value, path, positive=False)] * count
     if isinstance(value, list):
         if len(value) != count:
             raise ConfigError(f"{path}: expected 1 or {count} entries, got {len(value)}")
@@ -162,20 +168,22 @@ def _parse_valleys(doc) -> ValleySet:
             vpath = f"{path}[{i}]"
             if not isinstance(entry, dict):
                 raise ConfigError(f"{vpath}: expected an object")
-            axis = _require(entry, "axis", vpath)
-            if not isinstance(axis, list) or len(axis) != 3:
-                raise ConfigError(f"{vpath}.axis: expected a 3-vector")
+            axis = _vector(_require(entry, "axis", vpath), f"{vpath}.axis")
             n = _number(_require(entry, "n", vpath), f"{vpath}.n", positive=False)
             if n < 0.0:
                 raise ConfigError(f"{vpath}.n: must be >= 0, got {n}")
             theta = _theta_erg(entry, vpath)
-            norm = math.sqrt(sum(float(a) ** 2 for a in axis))
+            norm = math.sqrt(sum(a ** 2 for a in axis))
             if norm <= 0.0:
                 raise ConfigError(f"{vpath}.axis: must be a non-zero vector")
-            unit = tuple(float(a) / norm for a in axis)
+            unit = tuple(a / norm for a in axis)
             valleys.append(Valley(axis=unit, n=n, theta=theta))
         return ValleySet(tuple(valleys))
     raise ConfigError(f"{path}: expected a preset object or a list of valleys")
+
+
+# omega^3 enters the prefactors and overflows double precision above ~5.6e102.
+_OMEGA_MAX = 1e100
 
 
 def _parse_sweep(doc: dict) -> SweepSpec:
@@ -204,8 +212,8 @@ def _parse_sweep(doc: dict) -> SweepSpec:
         raw_plane = doc.get("plane", [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
         if not isinstance(raw_plane, list) or len(raw_plane) != 2:
             raise ConfigError(f"{path}.plane: expected two 3-vectors")
-        e1 = Polarization.from_vector(raw_plane[0]).q0
-        e2_raw = np.asarray(raw_plane[1], dtype=float)
+        e1 = Polarization.from_vector(_vector(raw_plane[0], f"{path}.plane[0]")).q0
+        e2_raw = np.asarray(_vector(raw_plane[1], f"{path}.plane[1]"))
         # Orthonormalize the second axis against the first.
         e1_arr = np.asarray(e1)
         e2_arr = e2_raw - np.dot(e2_raw, e1_arr) * e1_arr
@@ -214,6 +222,12 @@ def _parse_sweep(doc: dict) -> SweepSpec:
             raise ConfigError(f"{path}.plane: the two vectors must be independent")
         e2 = tuple(float(v) for v in e2_arr / norm)
         plane = (e1, e2)
+    top, top_path = (maximum, f"{path}.max") if kind == "omega" else (omega, f"{path}.omega")
+    if top > _OMEGA_MAX:
+        raise ConfigError(
+            f"{top_path}: {top:g} rad/s is above {_OMEGA_MAX:g}, "
+            "where omega^3 overflows double precision"
+        )
     return SweepSpec(
         kind=kind,
         minimum=minimum,
@@ -242,9 +256,7 @@ def parse_config(text: str) -> RunConfig:
     material = _parse_material(_require(doc, "material", "config"))
     valleys = _parse_valleys(_require(doc, "valleys", "config"))
 
-    pol_raw = _require(doc, "polarization", "config")
-    if not isinstance(pol_raw, list) or len(pol_raw) != 3:
-        raise ConfigError("polarization: expected a 3-vector")
+    pol_raw = _vector(_require(doc, "polarization", "config"), "polarization")
     polarization = Polarization.from_vector(pol_raw)
 
     sweep = _parse_sweep(_require(doc, "sweep", "config"))
@@ -337,8 +349,7 @@ def run_sweep(config: RunConfig) -> SweepResult:
     rows = []
     for phi, omega, pol in points:
         terms = _terms(
-            config.mechanism, config.regime, observables, config.valleys,
-            config.material, omega, config.quadrature,
+            config.mechanism, config.regime, observables, config.valleys, config.material, omega
         )
         row: list = [] if phi is None else [phi]
         row += [omega, HBAR * omega / ERG_PER_EV]

@@ -8,11 +8,7 @@ concentrations in cm^-3; conversion happens once, at construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 __all__ = [
-    "PhysicalConstants",
-    "CGS",
     "E_CHARGE",
     "HBAR",
     "C_LIGHT",
@@ -22,38 +18,15 @@ __all__ = [
     "ERG_PER_EV",
     "theta_from_kelvin",
     "theta_from_ev",
-    "ev_from_erg",
     "mass_from_me",
 ]
 
-
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """CODATA-style constants, immutable."""
-
-    e0: float        # electron charge (esu)
-    hbar: float      # erg s
-    c: float         # cm/s
-    m_e: float       # g
-    k_B: float       # erg/K
-    euler_gamma: float
-
-
-CGS = PhysicalConstants(
-    e0=4.80320425e-10,
-    hbar=1.054571817e-27,
-    c=2.99792458e10,
-    m_e=9.1093837015e-28,
-    k_B=1.380649e-16,
-    euler_gamma=0.5772156649015329,
-)
-
-E_CHARGE = CGS.e0
-HBAR = CGS.hbar
-C_LIGHT = CGS.c
-M_ELECTRON = CGS.m_e
-K_BOLTZMANN = CGS.k_B
-EULER_GAMMA = CGS.euler_gamma
+E_CHARGE = 4.80320425e-10       # electron charge (esu)
+HBAR = 1.054571817e-27          # erg s
+C_LIGHT = 2.99792458e10         # cm/s
+M_ELECTRON = 9.1093837015e-28   # g
+K_BOLTZMANN = 1.380649e-16      # erg/K
+EULER_GAMMA = 0.5772156649015329
 
 ERG_PER_EV = 1.602176634e-12
 
@@ -66,10 +39,6 @@ def theta_from_kelvin(temperature_K: float) -> float:
 def theta_from_ev(temperature_eV: float) -> float:
     """Electron temperature in erg from eV."""
     return ERG_PER_EV * temperature_eV
-
-
-def ev_from_erg(energy_erg: float) -> float:
-    return energy_erg / ERG_PER_EV
 
 
 def mass_from_me(ratio: float) -> float:

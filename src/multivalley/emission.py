@@ -39,7 +39,6 @@ from .geometry import Material, Polarization, Terms, ValleySet, _absorbed, _popu
 # Re-exported: perfbench/tracing.py looks p_plus up in this module.
 from .impurity import p_plus  # noqa: F401
 from .modes import Mechanism, Observable, Regime
-from .quadrature import DEFAULT_QUADRATURE, QuadratureSpec
 from .special import coulomb_log, psi_infinity
 
 __all__ = [
@@ -153,14 +152,14 @@ _CLOSED_FORMS = {
 
 def _terms(
     mechanism: Mechanism, regime: Regime, observables: list[Observable],
-    valleys: ValleySet, material: Material, omega: float, spec: QuadratureSpec,
+    valleys: ValleySet, material: Material, omega: float,
 ) -> list[Terms]:
     """Per-valley terms of each observable (ABSORPTION or EMISSION) at one
     frequency.  In the general regime the rate core runs once and every
     observable projects from it; closed forms check their regime guards."""
     if regime is Regime.GENERAL:
         if mechanism is Mechanism.IMPURITY:
-            rates = impurity._rates(valleys, material, omega, spec)
+            rates = impurity._rates(valleys, material, omega)
         else:
             rates = acoustic._rates(valleys, material, omega)
         return [
@@ -172,12 +171,12 @@ def _terms(
 
 def _emission(
     mechanism: Mechanism, valleys: ValleySet, material: Material, omega: float,
-    pol: Polarization, regime: Regime | str, spec: QuadratureSpec,
+    pol: Polarization, regime: Regime | str,
 ) -> EmissionResult:
     if not omega > 0.0:
         raise ValueError(f"omega must be positive, got {omega}")
     regime = Regime(regime)
-    (terms,) = _terms(mechanism, regime, [Observable.EMISSION], valleys, material, omega, spec)
+    (terms,) = _terms(mechanism, regime, [Observable.EMISSION], valleys, material, omega)
     return EmissionResult(
         dW_dOmega=_project(terms, pol), omega=omega, regime=regime, mechanism=mechanism
     )
@@ -189,7 +188,6 @@ def emission_impurity(
     omega: float,
     pol: Polarization,
     regime: Regime | str = Regime.GENERAL,
-    spec: QuadratureSpec = DEFAULT_QUADRATURE,
 ) -> EmissionResult:
     """Spontaneous emission intensity under impurity scattering.
 
@@ -199,7 +197,7 @@ def emission_impurity(
     classical: flat in omega, through the Conwell-Weisskopf logarithm.
     quantum:   (hbar omega)^{-1/2} e^{-hbar omega/theta_i}, unscreened.
     """
-    return _emission(Mechanism.IMPURITY, valleys, material, omega, pol, regime, spec)
+    return _emission(Mechanism.IMPURITY, valleys, material, omega, pol, regime)
 
 
 def emission_acoustic(
@@ -219,6 +217,4 @@ def emission_acoustic(
     quantum:   (e0^2/6 pi^2 c^3) sum_i (n_i/sqrt(theta_i)) (hbar omega)^{3/2}
                e^{-hbar omega/theta_i} {weight}
     """
-    return _emission(
-        Mechanism.ACOUSTIC, valleys, material, omega, pol, regime, DEFAULT_QUADRATURE
-    )
+    return _emission(Mechanism.ACOUSTIC, valleys, material, omega, pol, regime)

@@ -28,7 +28,6 @@ __all__ = [
     "Polarization",
     "PRESET_AXES",
     "load_preset",
-    "preset_axes",
     "cos_phi",
     "debye_radius",
     "incident_flux",
@@ -257,15 +256,6 @@ PRESET_AXES: dict[str, tuple[tuple[float, float, float], ...]] = {
 _PLACEHOLDER_THETA = K_BOLTZMANN * 300.0
 
 
-def preset_axes(name: str) -> tuple[tuple[float, float, float], ...]:
-    try:
-        return PRESET_AXES[name]
-    except KeyError:
-        raise ConfigError(
-            f"unknown preset {name!r}; available: {', '.join(sorted(PRESET_AXES))}"
-        ) from None
-
-
 def load_preset(name: str, n: float = 0.0, theta: float = _PLACEHOLDER_THETA) -> ValleySet:
     """Valley geometry for a named preset (``Ge4`` or ``Si6``).
 
@@ -273,7 +263,12 @@ def load_preset(name: str, n: float = 0.0, theta: float = _PLACEHOLDER_THETA) ->
     real populations come from the run configuration or
     :meth:`ValleySet.with_population`.
     """
-    axes = preset_axes(name)
+    try:
+        axes = PRESET_AXES[name]
+    except KeyError:
+        raise ConfigError(
+            f"unknown preset {name!r}; available: {', '.join(sorted(PRESET_AXES))}"
+        ) from None
     return ValleySet(tuple(Valley(axis=a, n=n, theta=theta) for a in axes))
 
 

@@ -38,15 +38,14 @@ from .modes import (
     CLASSICAL_S_MAX,
     QUANTUM_S_MIN,
     QUANTUM_SCREENING_MIN,
+    XMIN_MAX,
     Regime,
 )
-from .quadrature import DEFAULT_QUADRATURE, QuadratureSpec, integrate_spectral
+from .quadrature import integrate_spectral
 from .special import coulomb_log, psi_infinity, shape_b1, shape_b2
 
 __all__ = [
-    "QLimits",
     "RelaxationTensor",
-    "q_limits",
     "x_min",
     "p_plus",
     "p_minus",
@@ -68,18 +67,6 @@ _MOBILITY_COEFF = 8.0 / math.sqrt(math.pi)
 
 
 @dataclass(frozen=True)
-class QLimits:
-    """Momentum-transfer window (cm^-1) for one-photon absorption."""
-
-    q_min: float
-    q_max: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.q_min <= self.q_max:
-            raise ValueError(f"need 0 <= q_min <= q_max, got {self}")
-
-
-@dataclass(frozen=True)
 class RelaxationTensor:
     """Energy-averaged impurity relaxation times (s)."""
 
@@ -91,20 +78,6 @@ class RelaxationTensor:
             raise ValueError(f"relaxation times must be positive, got {self}")
 
 
-def q_limits(x: float, s: float, m_perp: float, theta: float) -> QLimits:
-    """Kinematic momentum-transfer bounds at dimensionless energy ``x``.
-
-    q_max = kappa (sqrt(x) + sqrt(x+s)), q_min = kappa (sqrt(x+s) - sqrt(x))
-    with kappa = sqrt(2 m_perp theta)/hbar; their product is kappa^2 s.
-    """
-    if x < 0.0 or s < 0.0:
-        raise ValueError("x and s must be non-negative")
-    kappa = math.sqrt(2.0 * m_perp * theta) / HBAR
-    root_x = math.sqrt(x)
-    root_xs = math.sqrt(x + s)
-    return QLimits(q_min=kappa * abs(root_xs - root_x), q_max=kappa * (root_xs + root_x))
-
-
 def x_min(material: Material, theta: float) -> float:
     """Dimensionless energy below which screening cuts off the Coulomb log.
 
@@ -114,12 +87,7 @@ def x_min(material: Material, theta: float) -> float:
     return HBAR**2 / (8.0 * material.m_perp * theta * r_D**2)
 
 
-def spectral_endpoints(
-    material: Material,
-    theta: float,
-    omega: float,
-    spec: QuadratureSpec = DEFAULT_QUADRATURE,
-) -> tuple[float, float]:
+def spectral_endpoints(material: Material, theta: float, omega: float) -> tuple[float, float]:
     """Transverse/longitudinal spectral integrals for one valley temperature.
 
     Returns (I1, I2) with
@@ -153,7 +121,7 @@ def spectral_endpoints(
         q_lo, q_hi = window(x)
         return shape_b2(b_at(q_hi)) + shape_b2(b_at(q_lo))
 
-    return integrate_spectral(g1, s, spec), integrate_spectral(g2, s, spec)
+    return integrate_spectral(g1, s), integrate_spectral(g2, s)
 
 
 def combine_endpoints(
@@ -173,12 +141,7 @@ def _collision_scale(material: Material) -> float:
     )
 
 
-def _rates(
-    valleys: ValleySet,
-    material: Material,
-    omega: float,
-    spec: QuadratureSpec = DEFAULT_QUADRATURE,
-) -> Terms:
+def _rates(valleys: ValleySet, material: Material, omega: float) -> Terms:
     """General-regime rate core: per populated valley, (valley, s, r_perp, r_par).
 
     The pair is the valley's absorption coefficient (cm^-1) before the
@@ -193,7 +156,7 @@ def _rates(
     rates = []
     for v in _populated(valleys):
         if v.theta not in endpoints:
-            endpoints[v.theta] = spectral_endpoints(material, v.theta, omega, spec)
+            endpoints[v.theta] = spectral_endpoints(material, v.theta, omega)
         scale = v.n / math.sqrt(v.theta)
         rates.append((
             v,
@@ -210,14 +173,13 @@ def p_plus(
     omega: float,
     pol: Polarization,
     A0: float,
-    spec: QuadratureSpec = DEFAULT_QUADRATURE,
 ) -> float:
     """Power absorbed per unit volume by one valley (erg s^-1 cm^-3): its
     rate before the stimulated-emission factor times the incident flux of a
     wave of amplitude A0."""
     if not omega > 0.0:
         raise ValueError(f"omega must be positive, got {omega}")
-    factor, rates = _rates(ValleySet((valley,)), material, omega, spec)
+    factor, rates = _rates(ValleySet((valley,)), material, omega)
     flux = incident_flux(omega, A0, material.eps0)
     return _project((factor * flux, [(v, 1.0, rp, rl) for v, _s, rp, rl in rates]), pol)
 
@@ -228,13 +190,12 @@ def p_minus(
     omega: float,
     pol: Polarization,
     A0: float,
-    spec: QuadratureSpec = DEFAULT_QUADRATURE,
 ) -> float:
     """Power emitted per unit volume by one valley; detailed balance gives
     p_minus = -exp(-hbar omega/theta) p_plus (negative: energy leaves the
     electrons)."""
     s = HBAR * omega / valley.theta
-    return -math.exp(-s) * p_plus(valley, material, omega, pol, A0, spec)
+    return -math.exp(-s) * p_plus(valley, material, omega, pol, A0)
 
 
 def check_classical_impurity(valleys: ValleySet, material: Material, omega: float) -> None:
@@ -247,9 +208,9 @@ def check_classical_impurity(valleys: ValleySet, material: Material, omega: floa
                 f"{CLASSICAL_S_MAX}, got {s:.3e} at omega = {omega:.6e} rad/s"
             )
         xm = x_min(material, v.theta)
-        if xm >= 0.1:
+        if xm >= XMIN_MAX:
             raise RegimeError(
-                f"classical impurity form needs x_min < 0.1, got {xm:.3e} "
+                f"classical impurity form needs x_min < {XMIN_MAX}, got {xm:.3e} "
                 "(screening too strong for the logarithmic approximation)"
             )
 
@@ -300,7 +261,6 @@ def absorption_impurity(
     omega: float,
     pol: Polarization,
     regime: Regime | str = Regime.GENERAL,
-    spec: QuadratureSpec = DEFAULT_QUADRATURE,
 ) -> float:
     """Absorption coefficient K (cm^-1) under ionized-impurity scattering.
 
@@ -313,7 +273,7 @@ def absorption_impurity(
         raise ValueError(f"omega must be positive, got {omega}")
     regime = Regime(regime)
     if regime is Regime.GENERAL:
-        terms = _absorbed(_rates(valleys, material, omega, spec))
+        terms = _absorbed(_rates(valleys, material, omega))
     elif regime is Regime.CLASSICAL:
         terms = _classical_absorption(valleys, material, omega)
     else:

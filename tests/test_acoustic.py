@@ -32,17 +32,6 @@ class TestTauAcoustic:
         with pytest.raises(ValueError):
             mv.tau_acoustic(0.0, 1e-14, 1e-12)
 
-    def test_tensor_wrapper(self, ge_material, theta_300):
-        tensor = mv.acoustic_tensor(ge_material, theta_300)
-        assert tensor.tau_perp(theta_300) == ge_material.tau_perp0
-        assert tensor.tau_par(theta_300) == ge_material.tau_par0
-        for eps in (0.1 * theta_300, theta_300, 7.0 * theta_300):
-            assert tensor.tau_perp(eps) > 0.0
-            assert tensor.tau_par(eps) > 0.0
-        assert tensor.tau_perp(4.0 * theta_300) == pytest.approx(
-            ge_material.tau_perp0 / 2.0, rel=1e-14
-        )
-
 
 class TestAbsorptionAcoustic:
     def test_general_to_classical_limit(self, ge_material, single_valley, pol_skew):

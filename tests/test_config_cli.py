@@ -234,6 +234,60 @@ class TestCli:
         assert cli.main(["--config", cfg, "--output", str(tmp_path / "x.csv")]) == 4
         assert "numerical error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field", ["polarization", "plane", "axis"])
+    def test_non_numeric_vector_component_exit_two(self, tmp_path, capsys, field):
+        doc = base_config()
+        if field == "polarization":
+            doc["polarization"] = ["a", 0, 1]
+        elif field == "plane":
+            doc["sweep"] = {"kind": "phi", "min": 0.0, "max": 3.0, "points": 3,
+                            "omega": 1.0e12, "plane": [[1, 0, 0], ["a", 0, 1]]}
+        else:
+            doc["valleys"] = [{"axis": ["a", 0, 1], "n": 1.0e16, "theta_K": 300.0}]
+        cfg = self.write_config(tmp_path, doc)
+        assert cli.main(["--config", cfg, "--output", str(tmp_path / "x.csv")]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_short_plane_vector_exit_two(self, tmp_path, capsys):
+        doc = base_config(sweep={"kind": "phi", "min": 0.0, "max": 3.0, "points": 3,
+                                 "omega": 1.0e12, "plane": [[1, 0, 0], [0, 1]]})
+        cfg = self.write_config(tmp_path, doc)
+        assert cli.main(["--config", cfg, "--output", str(tmp_path / "x.csv")]) == 2
+        assert "sweep.plane[1]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sweep", [
+        {"kind": "omega", "min": 1.0e12, "max": 1.0e200, "points": 3},
+        {"kind": "phi", "min": 0.0, "max": 3.0, "points": 3, "omega": 1.0e300},
+    ])
+    def test_overflowing_frequency_exit_two(self, tmp_path, capsys, sweep):
+        cfg = self.write_config(tmp_path, base_config(regime="general", sweep=sweep))
+        assert cli.main(["--config", cfg, "--output", str(tmp_path / "x.csv")]) == 2
+        assert "overflows" in capsys.readouterr().err
+
+    def test_non_finite_number_exit_two(self, tmp_path, capsys):
+        doc = base_config()
+        doc["material"]["n_a"] = math.inf  # JSON "Infinity", which json.loads accepts
+        cfg = self.write_config(tmp_path, doc)
+        assert cli.main(["--config", cfg, "--output", str(tmp_path / "x.csv")]) == 2
+        assert "material.n_a: must be finite" in capsys.readouterr().err
+
+    def test_zero_workers_exit_two(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path, base_config())
+        out = tmp_path / "x.csv"
+        assert cli.main(["--config", cfg, "--output", str(out), "--workers", "0"]) == 2
+        assert "--workers" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_arithmetic_error_exit_four(self, tmp_path, monkeypatch, capsys):
+        cfg = self.write_config(tmp_path, base_config())
+
+        def overflow(config):
+            raise OverflowError("synthetic overflow")
+
+        monkeypatch.setattr(cli, "run_sweep", overflow)
+        assert cli.main(["--config", cfg, "--output", str(tmp_path / "x.csv")]) == 4
+        assert "numerical error: OverflowError" in capsys.readouterr().err
+
     def test_flag_overrides(self, tmp_path):
         cfg = self.write_config(tmp_path, base_config())
         out = tmp_path / "both.csv"

@@ -14,32 +14,6 @@ def omega_for_s(s, theta):
     return s * theta / mv.HBAR
 
 
-class TestQLimits:
-    def test_zero_energy_window_collapses(self, ge_material, theta_300):
-        s = 1.7
-        lim = mv.q_limits(0.0, s, ge_material.m_perp, theta_300)
-        omega = omega_for_s(s, theta_300)
-        expected = math.sqrt(2.0 * ge_material.m_perp * mv.HBAR * omega) / mv.HBAR
-        assert lim.q_min == pytest.approx(expected, rel=1e-14)
-        assert lim.q_max == pytest.approx(expected, rel=1e-14)
-
-    def test_zero_photon_limit(self, ge_material, theta_300):
-        x = 0.8
-        lim = mv.q_limits(x, 0.0, ge_material.m_perp, theta_300)
-        assert lim.q_min == 0.0
-        assert lim.q_max == pytest.approx(
-            2.0 * math.sqrt(2.0 * ge_material.m_perp * theta_300 * x) / mv.HBAR,
-            rel=1e-14,
-        )
-
-    def test_product_is_x_independent(self, ge_material, theta_300):
-        s = 0.6
-        kappa_sq = 2.0 * ge_material.m_perp * theta_300 / mv.HBAR**2
-        for x in (0.0, 0.3, 2.0, 11.0):
-            lim = mv.q_limits(x, s, ge_material.m_perp, theta_300)
-            assert lim.q_min * lim.q_max == pytest.approx(kappa_sq * s, rel=1e-12)
-
-
 class TestXMin:
     def test_inverse_square_in_radius(self, ge_material, theta_300):
         doubled = dataclasses.replace(ge_material, r_D=2.0 * ge_material.r_D)

@@ -12,7 +12,9 @@ from multivalley.special import (
     bessel_k0,
     bessel_k1,
     bessel_k2,
+    bessel_k0e,
     bessel_k1e,
+    bessel_k2e,
 )
 
 mp.mp.dps = 30
@@ -194,6 +196,13 @@ class TestBesselK:
         with pytest.raises(ValueError):
             bessel_k1(800.0)
 
+    def test_scaled_beyond_amos_range(self):
+        # a > 1e9 (acoustic sweeps above ~1e21 rad/s at 4.2 K), where scipy's kve returns nan
+        for x in (5e8, 2e9, 1e12, 1e16):
+            for order, fn in ((0, bessel_k0e), (1, bessel_k1e), (2, bessel_k2e)):
+                ref = float(mp.besselk(order, mp.mpf(x)) * mp.exp(mp.mpf(x)))
+                assert fn(x) == pytest.approx(ref, rel=1e-14)
+
     def test_scaled_variant(self):
         # scaled form keeps working far beyond the unscaled domain
         x = 1.0e4
@@ -221,6 +230,13 @@ class TestAcousticKernel:
             ratio = lambda t: bessel_k1(t) / t
             derivative = (ratio(a + h) - ratio(a - h)) / (2.0 * h)
             assert acoustic_kernel(a) == pytest.approx(a**3 * derivative, rel=1e-6)
+
+    def test_scaled_against_mpmath(self):
+        # the kernel the acoustic rate core uses, far beyond the unscaled domain
+        for a in np.geomspace(1e-6, 1e5, 80):
+            a = float(a)
+            ref = float(-mp.mpf(a) ** 2 * mp.exp(a) * mp.besselk(2, mp.mpf(a)))
+            assert acoustic_kernel_scaled(a) == pytest.approx(ref, rel=1e-13)
 
     def test_scaled_consistency(self):
         for a in (0.3, 2.0, 15.0):
