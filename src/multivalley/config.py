@@ -82,7 +82,10 @@ def _require(doc: dict, key: str, path: str):
 def _number(value, path: str, positive: bool = True) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {value!r}")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:  # an integer beyond double range
+        raise ConfigError(f"{path}: integer too large for a double") from None
     if not math.isfinite(value):
         raise ConfigError(f"{path}: must be finite, got {value}")
     if positive and not value > 0.0:
@@ -173,9 +176,9 @@ def _parse_valleys(doc) -> ValleySet:
             if n < 0.0:
                 raise ConfigError(f"{vpath}.n: must be >= 0, got {n}")
             theta = _theta_erg(entry, vpath)
-            norm = math.sqrt(sum(a ** 2 for a in axis))
-            if norm <= 0.0:
-                raise ConfigError(f"{vpath}.axis: must be a non-zero vector")
+            norm = math.hypot(*axis)
+            if not 0.0 < norm < math.inf:
+                raise ConfigError(f"{vpath}.axis: must be a non-zero vector of finite length")
             unit = tuple(a / norm for a in axis)
             valleys.append(Valley(axis=unit, n=n, theta=theta))
         return ValleySet(tuple(valleys))

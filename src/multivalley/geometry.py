@@ -46,9 +46,9 @@ def _as_unit_tuple(vec: Sequence[float], name: str) -> tuple[float, float, float
     if len(vec) != 3:
         raise ConfigError(f"{name} must have 3 components, got {len(vec)}")
     x, y, z = (float(v) for v in vec)
-    norm = math.sqrt(x * x + y * y + z * z)
-    if norm <= 0.0:
-        raise ConfigError(f"{name} must be a non-zero vector")
+    norm = math.hypot(x, y, z)
+    if not 0.0 < norm < math.inf:
+        raise ConfigError(f"{name} must be a non-zero vector of finite length")
     return (x / norm, y / norm, z / norm)
 
 

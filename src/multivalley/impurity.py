@@ -21,6 +21,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .constants import C_LIGHT, E_CHARGE, HBAR
 from .errors import RegimeError
 from .geometry import (
@@ -42,7 +44,7 @@ from .modes import (
     Regime,
 )
 from .quadrature import integrate_spectral
-from .special import coulomb_log, psi_infinity, shape_b1, shape_b2
+from .special import _shape_b12, coulomb_log, psi_infinity
 
 __all__ = [
     "RelaxationTensor",
@@ -105,23 +107,23 @@ def spectral_endpoints(material: Material, theta: float, omega: float) -> tuple[
     b0_sq = material.m_perp / material.mass_contrast
     inv_rd_sq = 1.0 / (r_D * r_D)
 
-    def b_at(q: float) -> float:
-        return math.sqrt(b0_sq * (1.0 + inv_rd_sq / (q * q)))
+    # Both integrals run on the same nodes, so B1 and B2 are evaluated once
+    # there, at both ends of the momentum window (stacked on axis 0).
+    shared: dict[str, np.ndarray] = {}
 
-    def window(x: float) -> tuple[float, float]:
-        root_x = math.sqrt(x)
-        root_xs = math.sqrt(x + s)
-        return kappa * (root_xs - root_x), kappa * (root_xs + root_x)
+    def sums(x: np.ndarray) -> dict[str, np.ndarray]:
+        if "x" not in shared or not np.array_equal(shared["x"], x):
+            root_x = np.sqrt(x)
+            root_xs = np.sqrt(x + s)
+            q = kappa * np.stack((root_xs + root_x, root_xs - root_x))
+            b1, b2 = _shape_b12(np.sqrt(b0_sq * (1.0 + inv_rd_sq / (q * q))))
+            shared.update(x=x, b1=b1[0] + b1[1], b2=b2[0] + b2[1])
+        return shared
 
-    def g1(x: float) -> float:
-        q_lo, q_hi = window(x)
-        return shape_b1(b_at(q_hi)) + shape_b1(b_at(q_lo))
-
-    def g2(x: float) -> float:
-        q_lo, q_hi = window(x)
-        return shape_b2(b_at(q_hi)) + shape_b2(b_at(q_lo))
-
-    return integrate_spectral(g1, s), integrate_spectral(g2, s)
+    return (
+        integrate_spectral(lambda x: sums(x)["b1"], s),
+        integrate_spectral(lambda x: sums(x)["b2"], s),
+    )
 
 
 def combine_endpoints(

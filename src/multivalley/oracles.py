@@ -3,8 +3,10 @@
 These exist to certify the analytic reductions used by the production code:
 the closed-form angular integral against a direct unit-sphere quadrature, the
 integration-by-parts identity behind the single-integral absorbed power, and
-the energy-shift relation behind detailed balance.  They ship with the
-library so the certification is reproducible outside CI.
+the energy-shift relation behind detailed balance.  :func:`spectral_integral`
+is the adaptive (QUADPACK) reference for the fixed spectral rule of
+``quadrature``.  They ship with the library so the certification is
+reproducible outside CI; nothing on the runtime path imports this module.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from .quadrature import integrate_unit_sphere
 from .special import shape_b1, shape_b2
 
 __all__ = [
+    "spectral_integral",
     "angular_integral_numeric",
     "angular_integral_closed",
     "momentum_window_integral",
@@ -45,6 +48,24 @@ def _quad(f: Callable[[float], float], a: float, b: float, rel: float) -> float:
         raise QuadratureError(f"oracle quadrature failed: {result[3]}",
                               estimate=result[1])
     return result[0]
+
+
+def spectral_integral(g: Callable[[float], float], s: float, rel_tol: float = 1e-12) -> float:
+    """Adaptive reference for ``quadrature.integrate_spectral``:
+
+        int_0^inf e^-x g(x) / sqrt(x (x + s)) dx,  g called with one float x,
+
+    by QUADPACK on the same substitution x = t^2 and the same e^-x envelope
+    truncation at x = -ln(rel_tol) + 18.5.
+    """
+    if s < 0.0:
+        raise ValueError(f"s must be non-negative, got {s}")
+
+    def transformed(t: float) -> float:
+        x = t * t
+        return 2.0 * math.exp(-x) * g(x) / math.sqrt(x + s)
+
+    return _quad(transformed, 0.0, math.sqrt(-math.log(rel_tol) + 18.5), rel_tol)
 
 
 def angular_integral_numeric(

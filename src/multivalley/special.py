@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+import numpy as np
 from scipy.special import kve
 
 from .constants import EULER_GAMMA
@@ -86,20 +87,30 @@ def b_param(q_star: float, r_D: float, m_perp: float, m_par: float) -> ShapePara
 _B_SERIES_CUTOFF = 8.0
 
 
+# B1/B2 tail series beyond the cutoff, sum_k c_k b^-(2k+4):
+# c_k = (-1)^k (4k+4)/((2k+1)(2k+3)) for B1 and (-1)^k (2k+2)/(2k+3) for B2.
+_B1_TAIL = tuple((-1.0) ** k * (4.0 * k + 4.0) / ((2 * k + 1) * (2 * k + 3)) for k in range(12))
+_B2_TAIL = tuple((-1.0) ** k * (2.0 * k + 2.0) / (2 * k + 3) for k in range(12))
+_TAILS = np.array((_B1_TAIL, _B2_TAIL))
+
+
+def _tail_series(coeffs: tuple[float, ...], u: float) -> float:
+    """sum_k coeffs[k] u^(k+2) for u = b^-2."""
+    total = 0.0
+    power = u * u
+    for c in coeffs:
+        total += c * power
+        power *= u
+    return total
+
+
 def shape_b1(b: float) -> float:
     """B1(b) = 1/b^2 + ((1 - b^2)/b^3) arctan(1/b); positive, -> 4/(3 b^4)."""
     if b <= 0.0:
         raise ValueError("b must be positive")
     if b > _B_SERIES_CUTOFF:
-        # 1/b^2 and the arctan term cancel to O(b^-4); sum the tail series
-        # sum_k (-1)^k (4k+4)/((2k+1)(2k+3)) b^-(2k+4) instead.
-        u = 1.0 / (b * b)
-        total = 0.0
-        power = u * u
-        for k in range(12):
-            total += (-1.0) ** k * (4.0 * k + 4.0) / ((2 * k + 1) * (2 * k + 3)) * power
-            power *= u
-        return total
+        # 1/b^2 and the arctan term cancel to O(b^-4); sum the tail series.
+        return _tail_series(_B1_TAIL, 1.0 / (b * b))
     at = math.atan2(1.0, b)
     return 1.0 / (b * b) + (1.0 - b * b) / (b * b * b) * at
 
@@ -109,16 +120,25 @@ def shape_b2(b: float) -> float:
     if b <= 0.0:
         raise ValueError("b must be positive")
     if b > _B_SERIES_CUTOFF:
-        # Tail series: sum_k (-1)^k (2k+2)/(2k+3) b^-(2k+4).
-        u = 1.0 / (b * b)
-        total = 0.0
-        power = u * u
-        for k in range(12):
-            total += (-1.0) ** k * (2.0 * k + 2.0) / (2 * k + 3) * power
-            power *= u
-        return total
+        return _tail_series(_B2_TAIL, 1.0 / (b * b))
     at = math.atan2(1.0, b)
     return -1.0 / (1.0 + b * b) + at / b
+
+
+def _shape_b12(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(B1(b), B2(b)) elementwise for an array of b > 0: the formulas of
+    :func:`shape_b1` and :func:`shape_b2`, the tail series beyond the cutoff."""
+    b_sq = b * b
+    at = np.arctan2(1.0, b)
+    b1 = 1.0 / b_sq + (1.0 - b_sq) / (b_sq * b) * at
+    b2 = -1.0 / (1.0 + b_sq) + at / b
+    tail = b > _B_SERIES_CUTOFF
+    if tail.any():
+        u = 1.0 / b_sq[tail]
+        # Rows u^2 .. u^13, by the same repeated products as _tail_series.
+        powers = np.cumprod(np.broadcast_to(u, (len(_B1_TAIL) + 1, u.size)), axis=0)[1:]
+        b1[tail], b2[tail] = _TAILS @ powers
+    return b1, b2
 
 
 def psi(q_star: float, cos2phi: float, material: "Material") -> float:

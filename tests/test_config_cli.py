@@ -271,6 +271,29 @@ class TestCli:
         assert cli.main(["--config", cfg, "--output", str(tmp_path / "x.csv")]) == 2
         assert "material.n_a: must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field", ["axis", "polarization"])
+    def test_huge_vector_component_is_a_direction(self, tmp_path, field):
+        # a^2 overflows for a = 1e200; the vector is still the direction (1, 0, 1)
+        outputs = []
+        for scale in (1.0, 1.0e200):
+            if field == "axis":
+                doc = base_config(valleys=[{"axis": [scale, 0.0, scale], "n": 1.0e16,
+                                            "theta_K": 300.0}])
+            else:
+                doc = base_config(polarization=[scale, 0.0, scale])
+            cfg = self.write_config(tmp_path, doc)
+            out = tmp_path / f"{field}_{scale:g}.csv"
+            assert cli.main(["--config", cfg, "--output", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+    def test_integer_beyond_double_range_exit_two(self, tmp_path, capsys):
+        doc = base_config()
+        doc["material"]["n_a"] = 10**400  # a JSON integer float() cannot hold
+        cfg = self.write_config(tmp_path, doc)
+        assert cli.main(["--config", cfg, "--output", str(tmp_path / "x.csv")]) == 2
+        assert "material.n_a: integer too large for a double" in capsys.readouterr().err
+
     def test_zero_workers_exit_two(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path, base_config())
         out = tmp_path / "x.csv"

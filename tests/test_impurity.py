@@ -1,10 +1,12 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 import multivalley as mv
+from multivalley import oracles
 from multivalley.errors import RegimeError
 from multivalley.impurity import combine_endpoints, spectral_endpoints
 from multivalley.special import coulomb_log, psi_infinity
@@ -62,8 +64,6 @@ class TestPPlus:
     def test_matches_pre_reduction_double_integral(
         self, ge_material, valley_z, pol_skew
     ):
-        from multivalley import oracles
-
         omega = omega_for_s(0.7, valley_z.theta)
         direct = oracles.collision_prefactor(
             valley_z, ge_material, omega
@@ -96,8 +96,6 @@ class TestPMinus:
         assert abs(minus) < 1e-20 * plus
 
     def test_matches_direct_emission_integral(self, ge_material, valley_z, pol_skew):
-        from multivalley import oracles
-
         omega = omega_for_s(1.3, valley_z.theta)
         direct = oracles.p_minus_direct(valley_z, ge_material, omega, pol_skew, 1.0)
         assert mv.p_minus(valley_z, ge_material, omega, pol_skew, 1.0) == pytest.approx(
@@ -374,7 +372,54 @@ class TestEndpointDecomposition:
             q_hi = kappa * (math.sqrt(x + s) + math.sqrt(x))
             return psi(q_hi, c2, ge_material) + psi(q_lo, c2, ge_material)
 
-        direct = mv.integrate_spectral(g, s)
+        direct = oracles.spectral_integral(g, s)
         assert combine_endpoints(endpoints, c2, ge_material) == pytest.approx(
             direct, rel=1e-8
         )
+
+
+def oracle_endpoints(material, theta, omega):
+    """(I1, I2) of spectral_endpoints by the adaptive oracle integral, with b
+    from b_param and the scalar shape factors."""
+    s = mv.HBAR * omega / theta
+    kappa = math.sqrt(2.0 * material.m_perp * theta) / mv.HBAR
+
+    def integrand(shape):
+        def g(x):
+            root_x, root_xs = math.sqrt(x), math.sqrt(x + s)
+            return sum(
+                shape(mv.b_param(q, material.r_D, material.m_perp, material.m_par).b)
+                for q in (kappa * (root_xs + root_x), kappa * (root_xs - root_x))
+            )
+        return g
+
+    return (oracles.spectral_integral(integrand(mv.shape_b1), s),
+            oracles.spectral_integral(integrand(mv.shape_b2), s))
+
+
+class TestSpectralAccuracy:
+    # Ge and Si valley masses (m_perp, m_par) in electron masses
+    MASSES = ((0.082, 1.59), (0.19, 0.916))
+
+    def test_matches_adaptive_oracle_across_domain(self):
+        # the corners of the documented domain plus seeded interior draws:
+        # r_D 1e-7..1e-3 cm, 4.2..1e4 K, omega 1e10..1e17 rad/s
+        cases = list(itertools.product(self.MASSES, (1e-7, 1e-3), (4.2, 1e4), (1e10, 1e17)))
+        rng = np.random.default_rng(20081)
+        for _ in range(48):
+            cases.append((
+                self.MASSES[rng.integers(2)],
+                10.0 ** rng.uniform(-7.0, -3.0),
+                math.exp(rng.uniform(math.log(4.2), math.log(1e4))),
+                10.0 ** rng.uniform(10.0, 17.0),
+            ))
+        for (m_perp, m_par), r_D, kelvin, omega in cases:
+            material = mv.Material.from_units(
+                m_perp_me=m_perp, m_par_me=m_par, eps0=16.0, n_a=1e16,
+                tau_perp0=1e-12, tau_par0=1e-12, r_D=r_D,
+            )
+            theta = mv.theta_from_kelvin(kelvin)
+            # a QuadratureError here fails the test
+            got = spectral_endpoints(material, theta, omega)
+            want = oracle_endpoints(material, theta, omega)
+            assert got == pytest.approx(want, rel=1e-9), (m_perp, r_D, kelvin, omega)

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -6,6 +9,9 @@ import pytest
 import multivalley as mv
 from multivalley.errors import QuadratureError
 from multivalley.quadrature import (
+    _GAUSS,
+    _KRONROD,
+    _NODES,
     DEFAULT_QUADRATURE,
     QuadratureSpec,
     integrate_spectral,
@@ -33,15 +39,15 @@ class TestSpectral:
         )
 
     def test_linearity(self):
-        # adaptive subdivision is only linear up to tolerance; use a tight
-        # spec and smooth integrands so the check is meaningful at 1e-12
+        # a tight spec and smooth integrands keep the check meaningful at
+        # 1e-12 (the error estimate must stay below 1e-12 too)
         spec = QuadratureSpec(rel_tol=1e-13)
         rng = np.random.default_rng(21)
         for _ in range(5):
             a0, a1, a2 = rng.uniform(-2.0, 2.0, size=3)
             b0, b1, b2 = rng.uniform(-2.0, 2.0, size=3)
             g1 = lambda x: a0 + a1 * x + a2 * x * x
-            g2 = lambda x: b0 + b1 * math.exp(-x) + b2 * x
+            g2 = lambda x: b0 + b1 * np.exp(-x) + b2 * x
             s = float(rng.uniform(0.2, 4.0))
             combined = integrate_spectral(lambda x: g1(x) + g2(x), s, spec)
             separate = integrate_spectral(g1, s, spec) + integrate_spectral(g2, s, spec)
@@ -60,6 +66,40 @@ class TestSpectral:
             QuadratureSpec(rel_tol=1e-2)
         with pytest.raises(ValueError):
             QuadratureSpec(rel_tol=0.0)
+
+    @pytest.mark.parametrize("g", [
+        lambda x: np.where(x > 2.0, 1.0, 0.0),          # a jump inside a panel
+        lambda x: 1.0 / (1e-6 + (x - 3.0) ** 2),        # a spike narrower than a panel
+    ], ids=["jump", "spike"])
+    def test_unresolved_integrand_raises(self, g):
+        with pytest.raises(QuadratureError) as err:
+            integrate_spectral(g, 0.5)
+        assert err.value.estimate > 10.0 * DEFAULT_QUADRATURE.rel_tol
+
+    def test_gauss_kronrod_rule(self):
+        # the 7-point Gauss nodes are every second Kronrod node, and the two
+        # rules integrate x^k exactly to degree 13 and 22
+        gauss_nodes, gauss_weights = np.polynomial.legendre.leggauss(7)
+        np.testing.assert_allclose(np.sort(_NODES[1::2]), gauss_nodes, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(_GAUSS[1::2], gauss_weights, rtol=0, atol=1e-15)
+        assert not _GAUSS[0::2].any()
+        for k in range(23):
+            exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+            assert _KRONROD @ _NODES**k == pytest.approx(exact, abs=1e-15)
+            if k <= 13:
+                assert _GAUSS @ _NODES**k == pytest.approx(exact, abs=1e-15)
+
+
+class TestImportPath:
+    def test_scipy_integrate_not_imported(self):
+        # only the oracles need scipy.integrate; the runtime path must not load it
+        src = os.path.dirname(os.path.dirname(mv.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+        code = "import sys, multivalley; print('scipy.integrate' in sys.modules)"
+        result = subprocess.run([sys.executable, "-c", code], env=env,
+                                capture_output=True, text=True, check=True)
+        assert result.stdout.strip() == "False"
 
 
 class TestUnitSphere:

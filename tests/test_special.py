@@ -7,6 +7,7 @@ import pytest
 import multivalley as mv
 from multivalley.errors import RegimeError
 from multivalley.special import (
+    _shape_b12,
     acoustic_kernel,
     acoustic_kernel_scaled,
     bessel_k0,
@@ -87,6 +88,25 @@ class TestShapeFactors:
         b = 5e2
         assert mv.shape_b1(b) == pytest.approx(4.0 / (3.0 * b**4), rel=1e-4)
         assert mv.shape_b2(b) == pytest.approx(2.0 / (3.0 * b**4), rel=1e-4)
+
+    def test_array_kernel_matches_scalar(self):
+        # The grid crosses the b = 8 switch to the tail series.  Below it the
+        # direct formulas cancel to O(b^-4) from O(b^-2) terms, so a one-ulp
+        # difference between numpy's and libm's arctan2 grows by up to ~b^2
+        # there; the two kernels must agree to 1e-15 of the terms they sum.
+        grid = np.geomspace(1e-2, 1e3, 401)
+        b1, b2 = _shape_b12(grid)
+        assert (grid > 8.0).any() and (grid < 8.0).any()
+        for b, array_b1, array_b2 in zip(grid.tolist(), b1.tolist(), b2.tolist()):
+            scalar_b1, scalar_b2 = mv.shape_b1(b), mv.shape_b2(b)
+            if b > 8.0:
+                scale_b1, scale_b2 = scalar_b1, scalar_b2
+            else:
+                at = math.atan2(1.0, b)
+                scale_b1 = 1.0 / b**2 + abs(1.0 - b * b) / b**3 * at
+                scale_b2 = 1.0 / (1.0 + b * b) + at / b
+            assert abs(array_b1 - scalar_b1) <= 1e-15 * scale_b1
+            assert abs(array_b2 - scalar_b2) <= 1e-15 * scale_b2
 
 
 class TestPsi:
