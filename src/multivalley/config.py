@@ -188,6 +188,9 @@ def _parse_valleys(doc) -> ValleySet:
 # omega^3 enters the prefactors and overflows double precision above ~5.6e102.
 _OMEGA_MAX = 1e100
 
+# The grid and every row of a sweep are held in memory at once.
+_MAX_SWEEP_POINTS = 1_000_000
+
 
 def _parse_sweep(doc: dict) -> SweepSpec:
     path = "sweep"
@@ -203,6 +206,8 @@ def _parse_sweep(doc: dict) -> SweepSpec:
     points = _require(doc, "points", path)
     if not isinstance(points, int) or isinstance(points, bool) or points < 2:
         raise ConfigError(f"{path}.points: expected an integer >= 2, got {points!r}")
+    if points > _MAX_SWEEP_POINTS:
+        raise ConfigError(f"{path}.points: at most {_MAX_SWEEP_POINTS} grid points, got {points}")
     scale = doc.get("scale", "log" if kind == "omega" else "linear")
     if scale not in ("log", "linear"):
         raise ConfigError(f"{path}.scale: expected 'log' or 'linear', got {scale!r}")
@@ -251,7 +256,7 @@ def parse_config(text: str) -> RunConfig:
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # invalid JSON, or an integer beyond int_max_str_digits
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config root: expected a JSON object")

@@ -18,7 +18,14 @@ import math
 from dataclasses import dataclass, replace
 from typing import Iterator, Sequence
 
-from .constants import E_CHARGE, K_BOLTZMANN, theta_from_ev, theta_from_kelvin
+from .constants import (
+    C_LIGHT,
+    E_CHARGE,
+    K_BOLTZMANN,
+    mass_from_me,
+    theta_from_ev,
+    theta_from_kelvin,
+)
 from .errors import ConfigError
 
 __all__ = [
@@ -109,8 +116,6 @@ class Material:
         r_D: float | None = None,
     ) -> "Material":
         """Construct with masses given as electron-mass multiples."""
-        from .constants import mass_from_me
-
         return cls(
             m_perp=mass_from_me(m_perp_me),
             m_par=mass_from_me(m_par_me),
@@ -326,6 +331,4 @@ def incident_flux(omega: float, A0: float, eps0: float) -> float:
     """
     if not omega > 0.0:
         raise ValueError(f"omega must be positive, got {omega}")
-    from .constants import C_LIGHT
-
     return math.sqrt(eps0) / (8.0 * math.pi) * omega**2 / C_LIGHT * A0**2

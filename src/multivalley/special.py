@@ -7,17 +7,18 @@ algorithm, ACM TOMS 644), with the Hankel asymptotic form beyond x = 1e9,
 where ``kve`` returns nan.  Their accuracy contract, relative error <= 1e-12
 on x in [1e-6, 700], is certified against mpmath's arbitrary-precision K,
 an independent oracle.  Only a^2 K2(a) enters the physics (the acoustic
-kernel).
+kernel), so ``scipy.special`` is imported on the first Bessel evaluation,
+not with this module.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.special import kve
 
 from .constants import EULER_GAMMA
 from .errors import ConfigError, RegimeError
@@ -192,14 +193,26 @@ _K_MAX_X = 700.0  # e^-x underflows towards double-precision subnormals beyond
 _KVE_MAX_X = 1e9
 
 
-def _kve(n: int, x: float) -> float:
+@functools.cache
+def _scipy_kve():
+    """scipy's ``kve`` ufunc.  Importing ``scipy.special`` costs more than the
+    rest of ``import multivalley`` together, so it happens on the first call;
+    later calls return the cached ufunc."""
+    from scipy.special import kve
+
+    return kve
+
+
+def _kve(n: float, x: float) -> float:
+    # The order is passed as a float: kve has only double loops, and an int
+    # argument costs numpy a cast resolution (~0.1 us) on every call.
     if not x > 0.0:
         raise ValueError(f"modified Bessel K requires x > 0, got {x}")
     if x > _KVE_MAX_X:
         mu, t = 4.0 * n * n, 1.0 / (8.0 * x)
         series = 1.0 + (mu - 1.0) * t * (1.0 + 0.5 * (mu - 9.0) * t)
         return math.sqrt(math.pi / (2.0 * x)) * series
-    return float(kve(n, x))
+    return float(_scipy_kve()(n, x))
 
 
 def _check_unscaled_domain(x: float) -> None:
@@ -212,17 +225,17 @@ def _check_unscaled_domain(x: float) -> None:
 
 def bessel_k0e(x: float) -> float:
     """Exponentially scaled e^x K0(x)."""
-    return _kve(0, x)
+    return _kve(0.0, x)
 
 
 def bessel_k1e(x: float) -> float:
     """Exponentially scaled e^x K1(x)."""
-    return _kve(1, x)
+    return _kve(1.0, x)
 
 
 def bessel_k2e(x: float) -> float:
     """Exponentially scaled e^x K2(x)."""
-    return _kve(2, x)
+    return _kve(2.0, x)
 
 
 def bessel_k0(x: float) -> float:

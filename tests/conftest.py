@@ -1,6 +1,16 @@
+import os
+
 import pytest
 
 import multivalley as mv
+
+
+@pytest.fixture
+def checkout_env():
+    """Environment for a child interpreter that imports this checkout's multivalley."""
+    src = os.path.dirname(os.path.dirname(mv.__file__))
+    paths = [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src] + paths))
 
 
 @pytest.fixture

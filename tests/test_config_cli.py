@@ -1,12 +1,22 @@
 import csv
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import multivalley as mv
 from multivalley import cli
-from multivalley.config import SweepResult, parse_config, run_sweep, write_csv
+from multivalley.config import (
+    _MAX_SWEEP_POINTS,
+    SweepResult,
+    SweepSpec,
+    parse_config,
+    run_sweep,
+    write_csv,
+)
 from multivalley.errors import ConfigError, QuadratureError
 
 
@@ -294,6 +304,27 @@ class TestCli:
         assert cli.main(["--config", cfg, "--output", str(tmp_path / "x.csv")]) == 2
         assert "material.n_a: integer too large for a double" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("points", [10**400, _MAX_SWEEP_POINTS + 1], ids=["400-digit", "max+1"])
+    def test_too_many_sweep_points_exit_two(self, tmp_path, monkeypatch, capsys, points):
+        def no_grid(spec):
+            raise AssertionError("the sweep grid must not be allocated")
+
+        monkeypatch.setattr(SweepSpec, "grid", no_grid)
+        doc = base_config(sweep={"kind": "omega", "min": 1.0e12, "max": 2.0e12,
+                                 "points": points})
+        cfg = self.write_config(tmp_path, doc)
+        assert cli.main(["--config", cfg, "--output", str(tmp_path / "x.csv")]) == 2
+        assert "sweep.points: at most" in capsys.readouterr().err
+
+    def test_integer_beyond_json_digit_limit_exit_two(self, tmp_path, capsys):
+        # json.loads raises a plain ValueError for integers over 4300 digits
+        text = json.dumps(base_config(sweep={"kind": "omega", "min": 1.0e12, "max": 2.0e12,
+                                             "points": "POINTS"}))
+        cfg = tmp_path / "config.json"
+        cfg.write_text(text.replace('"POINTS"', "9" * 5000))
+        assert cli.main(["--config", str(cfg), "--output", str(tmp_path / "x.csv")]) == 2
+        assert "config error" in capsys.readouterr().err
+
     def test_zero_workers_exit_two(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path, base_config())
         out = tmp_path / "x.csv"
@@ -350,3 +381,21 @@ class TestCli:
         assert len(rows) == 12
         values = [float(row["K_per_cm"]) for row in rows]
         assert all(math.isfinite(k) and k > 0.0 for k in values)
+
+
+DOCS = Path(__file__).resolve().parent.parent / "docs"
+
+
+@pytest.mark.parametrize("name", ["config_ge4_spectrum.json", "config_si6_hot_polarization.json"])
+def test_cli_process_matches_in_process_csv(tmp_path, checkout_env, name):
+    # the Si6 config is acoustic general: its process loads scipy.special on first use
+    out = tmp_path / "cli.csv"
+    proc = subprocess.run(
+        [sys.executable, "-m", "multivalley.cli", "--config", str(DOCS / name),
+         "--output", str(out)],
+        env=checkout_env, cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    expected = tmp_path / "in_process.csv"
+    write_csv(run_sweep(parse_config((DOCS / name).read_text())), str(expected))
+    assert out.read_bytes() == expected.read_bytes()

@@ -1,5 +1,4 @@
 import math
-import os
 import subprocess
 import sys
 
@@ -90,16 +89,42 @@ class TestSpectral:
                 assert _GAUSS @ _NODES**k == pytest.approx(exact, abs=1e-15)
 
 
+def _fresh_python(code: str, env: dict) -> str:
+    """stdout of ``code`` run in a new interpreter."""
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, check=True)
+    return result.stdout.strip()
+
+
 class TestImportPath:
-    def test_scipy_integrate_not_imported(self):
+    def test_scipy_integrate_not_imported(self, checkout_env):
         # only the oracles need scipy.integrate; the runtime path must not load it
-        src = os.path.dirname(os.path.dirname(mv.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
         code = "import sys, multivalley; print('scipy.integrate' in sys.modules)"
-        result = subprocess.run([sys.executable, "-c", code], env=env,
-                                capture_output=True, text=True, check=True)
-        assert result.stdout.strip() == "False"
+        assert _fresh_python(code, checkout_env) == "False"
+
+    def test_scipy_not_imported(self, checkout_env):
+        # scipy.special loads on the first Bessel call; the heavy modules it
+        # pulls in must not load with the package or the CLI
+        code = (
+            "import sys, multivalley, multivalley.cli\n"
+            "heavy = ('scipy', 'concurrent.futures', 'unittest', 'numpy.testing')\n"
+            "print(sorted(m for m in sys.modules if m in heavy or m.startswith('scipy.')))"
+        )
+        assert _fresh_python(code, checkout_env) == "[]"
+
+    def test_first_bessel_call_loads_scipy_special(self, checkout_env, ge_material,
+                                                   single_valley, pol_skew):
+        # the dataclass reprs rebuild the same objects, floats bit for bit
+        args = (single_valley, ge_material, 3.0e13, pol_skew, "general")
+        code = (
+            "import sys\n"
+            "from multivalley import Material, Polarization, Valley, ValleySet, absorption_acoustic\n"
+            "before = 'scipy.special' in sys.modules\n"
+            f"value = absorption_acoustic{args!r}\n"
+            "print(before, 'scipy.special' in sys.modules, repr(value))"
+        )
+        expected = repr(mv.absorption_acoustic(*args))
+        assert _fresh_python(code, checkout_env).split() == ["False", "True", expected]
 
 
 class TestUnitSphere:
