@@ -83,7 +83,7 @@ def check_quantum_acoustic(valleys: ValleySet, omega: float) -> None:
 
 
 def _rates(valleys: ValleySet, material: Material, omega: float) -> Terms:
-    """General-regime rate core: per populated valley, (valley, s, r_perp, r_par).
+    """General-regime rate core: per populated valley, (valley, 1, r_perp, r_par).
 
     The pair is the valley's absorption coefficient before the
     stimulated-emission factor 1 - e^{-2 a_i}: the factor
@@ -97,7 +97,7 @@ def _rates(valleys: ValleySet, material: Material, omega: float) -> Terms:
     for v in _populated(valleys):
         a = HBAR * omega / (2.0 * v.theta)
         scale = v.n * v.theta * -acoustic_kernel_scaled(a)
-        rates.append((v, 2.0 * a, scale * pair_perp, scale * pair_par))
+        rates.append((v, 1.0, scale * pair_perp, scale * pair_par))
     return factor, rates
 
 
@@ -143,7 +143,7 @@ def absorption_acoustic(
         raise ValueError(f"omega must be positive, got {omega}")
     regime = Regime(regime)
     if regime is Regime.GENERAL:
-        terms = _absorbed(_rates(valleys, material, omega))
+        terms = _absorbed(_rates(valleys, material, omega), omega)
     elif regime is Regime.CLASSICAL:
         terms = _classical_absorption(valleys, material, omega)
     else:

@@ -12,6 +12,8 @@ import argparse
 import sys
 from dataclasses import replace
 
+import numpy as np
+
 from .config import parse_config, run_sweep, write_csv
 from .errors import ConfigError, QuadratureError, RegimeError
 from .modes import Mechanism, Observable, Regime
@@ -78,7 +80,9 @@ def main(argv: list[str] | None = None) -> int:
         if not output:
             raise ConfigError("no output path: give --output or set 'output' in the config")
 
-        result = run_sweep(config)
+        # numpy overflow, division by zero and nan are numerical failures (exit 4)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            result = run_sweep(config)
         write_csv(result, output)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

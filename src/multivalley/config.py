@@ -6,19 +6,18 @@ here.  Sweeps evaluate either a frequency grid at fixed polarization or a
 polarization rotation at fixed frequency.
 
 Each sweep row evaluates the per-valley terms of its observables at its
-frequency (``emission._terms``; with observable ``both`` the general regime
-runs the rate core once, emission following from absorption by detailed
-balance) and projects its polarization from them through the cos^2 affine
-split.  Rows are emitted in grid order, so identical configs produce
-byte-identical CSV files.  The ``workers`` key is accepted and validated,
-but evaluation is serial: it changes neither values nor bytes.
+frequency (``emission._terms``, which with observable ``both`` runs the
+absorption side once) and projects its polarization from them through the
+cos^2 affine split.  Rows are emitted in grid order, so identical configs
+produce byte-identical CSV files.  The ``workers`` key is accepted and
+validated, but evaluation is serial: it changes neither values nor bytes.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -31,6 +30,7 @@ from .geometry import (
     Valley,
     ValleySet,
     _project,
+    debye_radius,
     load_preset,
 )
 from .modes import Mechanism, Observable, Regime
@@ -148,6 +148,8 @@ def _parse_valleys(doc) -> ValleySet:
     path = "valleys"
     if isinstance(doc, dict):
         preset = _require(doc, "preset", path)
+        if not isinstance(preset, str):
+            raise ConfigError(f"{path}.preset: expected a preset name, got {preset!r}")
         base = load_preset(preset)
         count = len(base)
         ns = _scalar_or_list(_require(doc, "n", path), count, f"{path}.n")
@@ -185,8 +187,9 @@ def _parse_valleys(doc) -> ValleySet:
     raise ConfigError(f"{path}: expected a preset object or a list of valleys")
 
 
-# omega^3 enters the prefactors and overflows double precision above ~5.6e102.
-_OMEGA_MAX = 1e100
+# omega^3 enters the prefactors: it overflows double precision above ~5.6e102,
+# and the Kirchhoff factor hbar omega^3 of emission underflows below ~1e-86.
+_OMEGA_MIN, _OMEGA_MAX = 1e-50, 1e100
 
 # The grid and every row of a sweep are held in memory at once.
 _MAX_SWEEP_POINTS = 1_000_000
@@ -221,7 +224,8 @@ def _parse_sweep(doc: dict) -> SweepSpec:
         if not isinstance(raw_plane, list) or len(raw_plane) != 2:
             raise ConfigError(f"{path}.plane: expected two 3-vectors")
         e1 = Polarization.from_vector(_vector(raw_plane[0], f"{path}.plane[0]")).q0
-        e2_raw = np.asarray(_vector(raw_plane[1], f"{path}.plane[1]"))
+        # Unit length first: huge components would overflow the norm below.
+        e2_raw = np.asarray(Polarization.from_vector(_vector(raw_plane[1], f"{path}.plane[1]")).q0)
         # Orthonormalize the second axis against the first.
         e1_arr = np.asarray(e1)
         e2_arr = e2_raw - np.dot(e2_raw, e1_arr) * e1_arr
@@ -230,12 +234,13 @@ def _parse_sweep(doc: dict) -> SweepSpec:
             raise ConfigError(f"{path}.plane: the two vectors must be independent")
         e2 = tuple(float(v) for v in e2_arr / norm)
         plane = (e1, e2)
-    top, top_path = (maximum, f"{path}.max") if kind == "omega" else (omega, f"{path}.omega")
-    if top > _OMEGA_MAX:
-        raise ConfigError(
-            f"{top_path}: {top:g} rad/s is above {_OMEGA_MAX:g}, "
-            "where omega^3 overflows double precision"
-        )
+    ends = (("min", minimum), ("max", maximum)) if kind == "omega" else (("omega", omega),)
+    for key, value in ends:
+        if not _OMEGA_MIN <= value <= _OMEGA_MAX:
+            raise ConfigError(
+                f"{path}.{key}: {value:g} rad/s is outside [{_OMEGA_MIN:g}, {_OMEGA_MAX:g}], "
+                "where omega^3 underflows or overflows double precision"
+            )
     return SweepSpec(
         kind=kind,
         minimum=minimum,
@@ -299,13 +304,13 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"output: expected a string path, got {output!r}")
 
     if material.r_D is None:
-        n_total = valleys.total_n()
-        if n_total <= 0.0:
-            raise ConfigError(
-                "material.r_D: not given and cannot be computed because no "
-                "valley is populated"
-            )
-        material = material.with_debye_radius(valleys.mean_theta(), n_total)
+        try:
+            r_d = debye_radius(material.eps0, valleys.mean_theta(), valleys.total_n())
+        except (ValueError, ArithmeticError):  # no population, or an underflow to 0
+            r_d = math.nan
+        if not 0.0 < r_d < math.inf:
+            raise ConfigError("material.r_D: not given, and not derivable from the populations")
+        material = replace(material, r_D=r_d)
 
     return RunConfig(
         material=material,

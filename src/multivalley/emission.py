@@ -14,11 +14,11 @@ unit volume, and the mode density is omega^2/(2 pi c)^3, so
 
     dW/dOmega = sum_i e^{-s_i} r_i hbar omega^3 sqrt(eps0) / (8 pi^3 c^2),
 
-the same factor for both mechanisms; with K_i = (1 - e^{-s_i}) r_i this is
-dW_i/dOmega = K_i hbar omega^3 sqrt(eps0) / (8 pi^3 c^2 (e^{s_i} - 1)).  The
-general regime therefore has no emission formula of its own: it projects
-the absorption rate core with weight e^{-s_i} times that factor.  The
-classical and quantum closed forms keep their own asymptotic formulas.
+the same factor for both mechanisms.  With K_i = (1 - e^{-s_i}) r_i, e^{-s_i}
+r_i is K_i times the Bose factor 1/(e^{s_i} - 1).  So emission has no formula
+of its own: in every regime it projects the absorption side with that factor
+and the regime's Bose factor (``_BOSE``), quantum acoustic emission being the
+one exception (:func:`_quantum_acoustic`).
 
 Output convention: ``dW_dOmega`` is energy per unit time, per steradian, per
 unit angular-frequency interval, per unit volume (erg s^-1 sr^-1 cm^-3 per
@@ -34,12 +34,13 @@ from dataclasses import dataclass
 
 from . import acoustic, impurity
 from .constants import C_LIGHT, E_CHARGE, HBAR
-from .geometry import Material, Polarization, Terms, ValleySet, _absorbed, _populated, _project
+from .geometry import (
+    Material, Polarization, Terms, ValleySet, _absorbed, _populated, _project, _weighted,
+)
 
 # Re-exported: perfbench/tracing.py looks p_plus up in this module.
 from .impurity import p_plus  # noqa: F401
 from .modes import Mechanism, Observable, Regime
-from .special import coulomb_log, psi_infinity
 
 __all__ = [
     "EmissionResult",
@@ -49,9 +50,6 @@ __all__ = [
     "emission_acoustic",
 ]
 
-_CLASSICAL_IMPURITY_COEFF = 1.0 / (2.0 * math.pi) ** 1.5
-_QUANTUM_IMPURITY_COEFF = 1.0 / (math.sqrt(2.0) * math.pi)
-_CLASSICAL_ACOUSTIC_COEFF = 4.0 / (3.0 * math.pi**2.5)
 _QUANTUM_ACOUSTIC_COEFF = 1.0 / (6.0 * math.pi**2)
 
 
@@ -85,50 +83,35 @@ def mode_density(omega: float, volume: float) -> float:
     return volume * omega**2 / (2.0 * math.pi * C_LIGHT) ** 3
 
 
-def _emitted(rates: Terms, material: Material, omega: float) -> Terms:
-    """Emission terms by detailed balance: w_i = e^{-s_i}, and the factor
-    gains the flux of one photon times the mode density,
-    hbar omega^3 sqrt(eps0)/(8 pi^3 c^2)."""
-    factor, per_valley = rates
+# The Bose factor 1/(e^{s} - 1) that turns a valley's absorption into its
+# emission.  The general regime applies it exactly, to the rates
+# r_i = K_i/(1 - e^{-s_i}), as e^{-s_i}; the closed forms know only K_i and
+# apply its asymptote, 1/s_i for s_i << 1 or e^{-s_i} for s_i >> 1.
+_BOSE = {
+    Regime.GENERAL: lambda s: math.exp(-s),
+    Regime.CLASSICAL: lambda s: 1.0 / s,
+    Regime.QUANTUM: lambda s: math.exp(-s),
+}
+
+
+def _emitted(terms: Terms, material: Material, omega: float, regime: Regime) -> Terms:
+    """Emission terms by Kirchhoff's law: each w_i times the regime's Bose
+    factor, and the factor times the flux of one photon times the mode
+    density, hbar omega^3 sqrt(eps0)/(8 pi^3 c^2)."""
+    factor, per_valley = _weighted(terms, omega, _BOSE[regime])
     kirchhoff = HBAR * omega**3 * math.sqrt(material.eps0) / (8.0 * math.pi**3 * C_LIGHT**2)
-    return factor * kirchhoff, [(v, math.exp(-s), rp, rl) for v, s, rp, rl in per_valley]
-
-
-def _classical_impurity(valleys: ValleySet, material: Material, omega: float) -> Terms:
-    """(1/(2 pi)^{3/2}) e0^6 n_a sqrt(m_par) / (eps0^2 c^3 (m_par - m_perp)^2)
-    n_i L(x_min(theta_i)) / sqrt(theta_i) times Psi(inf); flat in omega."""
-    impurity.check_classical_impurity(valleys, material, omega)
-    scale = impurity._collision_scale(material) * math.sqrt(material.eps0) / C_LIGHT**2
-    pref = _CLASSICAL_IMPURITY_COEFF * scale
-    pair = psi_infinity(0.0, material), psi_infinity(1.0, material)
-    terms = []
-    for v in _populated(valleys):
-        log_term = coulomb_log(impurity.x_min(material, v.theta))
-        terms.append((v, v.n / math.sqrt(v.theta) * log_term, *pair))
-    return pref, terms
-
-
-def _quantum_impurity(valleys: ValleySet, material: Material, omega: float) -> Terms:
-    """(1/(sqrt 2 pi)) e0^6 n_a sqrt(m_par) / (eps0^2 c^3 (m_par - m_perp)^2
-    sqrt(hbar omega)) n_i e^{-hbar omega/theta_i} times Psi(inf)."""
-    impurity.check_quantum_impurity(valleys, material, omega)
-    scale = impurity._collision_scale(material) * math.sqrt(material.eps0) / C_LIGHT**2
-    pref = _QUANTUM_IMPURITY_COEFF * scale / math.sqrt(HBAR * omega)
-    pair = psi_infinity(0.0, material), psi_infinity(1.0, material)
-    return pref, [(v, v.n * math.exp(-HBAR * omega / v.theta), *pair) for v in _populated(valleys)]
-
-
-def _classical_acoustic(valleys: ValleySet, material: Material, omega: float) -> Terms:
-    """(4 e0^2/3 pi^{5/2} c^3) n_i theta_i times the tensor pair; flat in omega."""
-    acoustic.check_classical_acoustic(valleys, omega)
-    pref = _CLASSICAL_ACOUSTIC_COEFF * E_CHARGE**2 / C_LIGHT**3
-    pair = acoustic._tensor_pair(material)
-    return pref, [(v, v.n * v.theta, *pair) for v in _populated(valleys)]
+    return factor * kirchhoff, per_valley
 
 
 def _quantum_acoustic(valleys: ValleySet, material: Material, omega: float) -> Terms:
     """(e0^2/6 pi^2 c^3) (n_i/sqrt(theta_i)) (hbar omega)^{3/2}
-    e^{-hbar omega/theta_i} times the tensor pair."""
+    e^{-hbar omega/theta_i} times the tensor pair.
+
+    The one emission formula of its own: quantum acoustic absorption keeps
+    the 1 + 3/(2 a_i) correction of the large-argument kernel and this form
+    does not, so the two are no Kirchhoff pair (23 % apart at s = 10, 7 % at
+    s = 40); reconciling them would change the physics of one of them.
+    """
     acoustic.check_quantum_acoustic(valleys, omega)
     pref = _QUANTUM_ACOUSTIC_COEFF * E_CHARGE**2 / C_LIGHT**3 * (HBAR * omega) ** 1.5
     pair = acoustic._tensor_pair(material)
@@ -138,15 +121,14 @@ def _quantum_acoustic(valleys: ValleySet, material: Material, omega: float) -> T
     ]
 
 
-_CLOSED_FORMS = {
-    (Mechanism.IMPURITY, Regime.CLASSICAL, Observable.ABSORPTION): impurity._classical_absorption,
-    (Mechanism.IMPURITY, Regime.QUANTUM, Observable.ABSORPTION): impurity._quantum_absorption,
-    (Mechanism.IMPURITY, Regime.CLASSICAL, Observable.EMISSION): _classical_impurity,
-    (Mechanism.IMPURITY, Regime.QUANTUM, Observable.EMISSION): _quantum_impurity,
-    (Mechanism.ACOUSTIC, Regime.CLASSICAL, Observable.ABSORPTION): acoustic._classical_absorption,
-    (Mechanism.ACOUSTIC, Regime.QUANTUM, Observable.ABSORPTION): acoustic._quantum_absorption,
-    (Mechanism.ACOUSTIC, Regime.CLASSICAL, Observable.EMISSION): _classical_acoustic,
-    (Mechanism.ACOUSTIC, Regime.QUANTUM, Observable.EMISSION): _quantum_acoustic,
+# What emission projects from: the general rate core, or closed-form absorption.
+_SOURCES = {
+    (Mechanism.IMPURITY, Regime.GENERAL): impurity._rates,
+    (Mechanism.IMPURITY, Regime.CLASSICAL): impurity._classical_absorption,
+    (Mechanism.IMPURITY, Regime.QUANTUM): impurity._quantum_absorption,
+    (Mechanism.ACOUSTIC, Regime.GENERAL): acoustic._rates,
+    (Mechanism.ACOUSTIC, Regime.CLASSICAL): acoustic._classical_absorption,
+    (Mechanism.ACOUSTIC, Regime.QUANTUM): acoustic._quantum_absorption,
 }
 
 
@@ -155,18 +137,19 @@ def _terms(
     valleys: ValleySet, material: Material, omega: float,
 ) -> list[Terms]:
     """Per-valley terms of each observable (ABSORPTION or EMISSION) at one
-    frequency.  In the general regime the rate core runs once and every
-    observable projects from it; closed forms check their regime guards."""
-    if regime is Regime.GENERAL:
-        if mechanism is Mechanism.IMPURITY:
-            rates = impurity._rates(valleys, material, omega)
-        else:
-            rates = acoustic._rates(valleys, material, omega)
-        return [
-            _absorbed(rates) if o is Observable.ABSORPTION else _emitted(rates, material, omega)
-            for o in observables
-        ]
-    return [_CLOSED_FORMS[mechanism, regime, o](valleys, material, omega) for o in observables]
+    frequency.  The source runs once, checking a closed form's regime guards,
+    and both observables project from it; quantum acoustic emission alone
+    has its own formula."""
+    if (mechanism, regime) == (Mechanism.ACOUSTIC, Regime.QUANTUM):
+        forms = {Observable.ABSORPTION: acoustic._quantum_absorption,
+                 Observable.EMISSION: _quantum_acoustic}
+        return [forms[o](valleys, material, omega) for o in observables]
+    source = _SOURCES[mechanism, regime](valleys, material, omega)
+    absorbed = _absorbed(source, omega) if regime is Regime.GENERAL else source
+    return [
+        absorbed if o is Observable.ABSORPTION else _emitted(source, material, omega, regime)
+        for o in observables
+    ]
 
 
 def _emission(
@@ -189,13 +172,14 @@ def emission_impurity(
     pol: Polarization,
     regime: Regime | str = Regime.GENERAL,
 ) -> EmissionResult:
-    """Spontaneous emission intensity under impurity scattering.
+    """Spontaneous emission intensity under impurity scattering: per valley,
+    Kirchhoff's law applied to ``absorption_impurity`` in the same regime.
 
-    general:   by detailed balance from the impurity rate core (module
-               docstring), i.e. per valley e^{-hbar omega/theta_i} times
-               p_plus at the one-photon amplitude times the mode density.
-    classical: flat in omega, through the Conwell-Weisskopf logarithm.
-    quantum:   (hbar omega)^{-1/2} e^{-hbar omega/theta_i}, unscreened.
+    general:   e^{-hbar omega/theta_i} times p_plus at the one-photon
+               amplitude times the mode density.
+    classical: K_i theta_i/(hbar omega), flat in omega.
+    quantum:   K_i e^{-hbar omega/theta_i}, a (hbar omega)^{-1/2}
+               e^{-hbar omega/theta_i} law, unscreened.
     """
     return _emission(Mechanism.IMPURITY, valleys, material, omega, pol, regime)
 
@@ -212,9 +196,10 @@ def emission_acoustic(
     general:   (2 e0^2/3 pi^{5/2} c^3) sum_i n_i theta_i e^{-2 a_i} {weight}
                e^{a_i} a_i^2 K2(a_i), by detailed balance from the acoustic
                rate core (module docstring)
-    classical: (4 e0^2/3 pi^{5/2} c^3) sum_i n_i theta_i {weight}; note the
-               complete absence of omega: the classical spectrum is flat.
+    classical: (4 e0^2/3 pi^{5/2} c^3) sum_i n_i theta_i {weight}: classical
+               absorption times theta_i/(hbar omega), flat in omega.
     quantum:   (e0^2/6 pi^2 c^3) sum_i (n_i/sqrt(theta_i)) (hbar omega)^{3/2}
-               e^{-hbar omega/theta_i} {weight}
+               e^{-hbar omega/theta_i} {weight}, not Kirchhoff's image of
+               quantum absorption (see ``_quantum_acoustic``)
     """
     return _emission(Mechanism.ACOUSTIC, valleys, material, omega, pol, regime)

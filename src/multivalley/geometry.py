@@ -16,11 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .constants import (
     C_LIGHT,
     E_CHARGE,
+    HBAR,
     K_BOLTZMANN,
     mass_from_me,
     theta_from_ev,
@@ -287,9 +288,9 @@ def cos_phi(valley: Valley, pol: Polarization) -> float:
 # populated valleys of a weight w_i times a polarization-independent pair
 # (r_perp_i, r_par_i): the valley's values for polarization across and along
 # its axis.  Terms are (factor, [(valley, w_i, r_perp_i, r_par_i), ...]);
-# rates have the same shape with s_i = hbar*omega/theta_i in place of w_i,
-# before an observable's weight.  The factor is applied once, after the sum,
-# so that tiny weights such as e^{-s_i} meet the large pairs while both are
+# rates are terms of unit weight, before an observable's weight, a function
+# of s_i = hbar*omega/theta_i.  The factor is applied once, after the sum, so
+# that tiny weights such as e^{-s_i} meet the large pairs while both are
 # still far from underflow.
 Terms = tuple[float, list[tuple]]
 
@@ -310,10 +311,15 @@ def _project(terms: Terms, pol: Polarization) -> float:
     return factor * total
 
 
-def _absorbed(rates: Terms) -> Terms:
+def _weighted(terms: Terms, omega: float, weight: Callable[[float], float]) -> Terms:
+    """The terms with each w_i multiplied by weight(s_i), s_i = hbar omega/theta_i."""
+    factor, per_valley = terms
+    return factor, [(v, w * weight(HBAR * omega / v.theta), rp, rl) for v, w, rp, rl in per_valley]
+
+
+def _absorbed(rates: Terms, omega: float) -> Terms:
     """Absorption terms: each rate net of stimulated emission, w_i = 1 - e^{-s_i}."""
-    factor, per_valley = rates
-    return factor, [(v, -math.expm1(-s), r_perp, r_par) for v, s, r_perp, r_par in per_valley]
+    return _weighted(rates, omega, lambda s: -math.expm1(-s))
 
 
 def debye_radius(eps0: float, theta: float, n_total: float) -> float:

@@ -144,7 +144,7 @@ def _collision_scale(material: Material) -> float:
 
 
 def _rates(valleys: ValleySet, material: Material, omega: float) -> Terms:
-    """General-regime rate core: per populated valley, (valley, s, r_perp, r_par).
+    """General-regime rate core: per populated valley, (valley, 1, r_perp, r_par).
 
     The pair is the valley's absorption coefficient (cm^-1) before the
     stimulated-emission factor 1 - e^{-s}, for polarization across and along
@@ -162,7 +162,7 @@ def _rates(valleys: ValleySet, material: Material, omega: float) -> Terms:
         scale = v.n / math.sqrt(v.theta)
         rates.append((
             v,
-            HBAR * omega / v.theta,
+            1.0,
             scale * combine_endpoints(endpoints[v.theta], 0.0, material),
             scale * combine_endpoints(endpoints[v.theta], 1.0, material),
         ))
@@ -182,8 +182,7 @@ def p_plus(
     if not omega > 0.0:
         raise ValueError(f"omega must be positive, got {omega}")
     factor, rates = _rates(ValleySet((valley,)), material, omega)
-    flux = incident_flux(omega, A0, material.eps0)
-    return _project((factor * flux, [(v, 1.0, rp, rl) for v, _s, rp, rl in rates]), pol)
+    return _project((factor * incident_flux(omega, A0, material.eps0), rates), pol)
 
 
 def p_minus(
@@ -275,7 +274,7 @@ def absorption_impurity(
         raise ValueError(f"omega must be positive, got {omega}")
     regime = Regime(regime)
     if regime is Regime.GENERAL:
-        terms = _absorbed(_rates(valleys, material, omega))
+        terms = _absorbed(_rates(valleys, material, omega), omega)
     elif regime is Regime.CLASSICAL:
         terms = _classical_absorption(valleys, material, omega)
     else:

@@ -42,7 +42,6 @@ class QuadratureSpec:
     """Tolerances of the spectral integrator."""
 
     rel_tol: float = 1e-9
-    abs_tol: float = 1e-300  # pure guard against zero-valued integrands
 
     def __post_init__(self) -> None:
         if not 0.0 < self.rel_tol <= 1e-3:
@@ -50,6 +49,7 @@ class QuadratureSpec:
 
 
 DEFAULT_QUADRATURE = QuadratureSpec()
+_ABS_TOL = 1e-300  # absolute slack of the error test, against zero-valued integrands
 
 
 # QUADPACK's qk15 (Piessens et al., QUADPACK, 1983): the 15-point Kronrod
@@ -134,7 +134,7 @@ def integrate_spectral_with_error(
         abserr += a * min(1.0, (200.0 * d / a) ** 1.5) if a > 0.0 else d
 
     if not math.isfinite(value) or (
-        abserr > 10.0 * spec.rel_tol * abs(value) + spec.abs_tol and abs(value) > 0.0
+        abserr > 10.0 * spec.rel_tol * abs(value) + _ABS_TOL and abs(value) > 0.0
     ):
         raise QuadratureError(
             f"spectral integral error estimate {abserr:.3e} exceeds the "

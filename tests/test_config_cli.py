@@ -1,8 +1,13 @@
+import contextlib
+import copy
 import csv
+import io
 import json
 import math
+import random
 import subprocess
 import sys
+import traceback
 from pathlib import Path
 
 import pytest
@@ -274,6 +279,17 @@ class TestCli:
         assert cli.main(["--config", cfg, "--output", str(tmp_path / "x.csv")]) == 2
         assert "overflows" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sweep", [
+        {"kind": "omega", "min": 1.0e-90, "max": 1.0e-60, "points": 3},
+        {"kind": "phi", "min": 0.0, "max": 3.0, "points": 3, "omega": 1.0e-100},
+    ])
+    def test_vanishing_frequency_exit_two(self, tmp_path, capsys, sweep):
+        # classical emission would otherwise read 0: hbar omega^3 underflows
+        doc = base_config(observable="emission", sweep=sweep)
+        cfg = self.write_config(tmp_path, doc)
+        assert cli.main(["--config", cfg, "--output", str(tmp_path / "x.csv")]) == 2
+        assert "underflows" in capsys.readouterr().err
+
     def test_non_finite_number_exit_two(self, tmp_path, capsys):
         doc = base_config()
         doc["material"]["n_a"] = math.inf  # JSON "Infinity", which json.loads accepts
@@ -296,6 +312,36 @@ class TestCli:
             assert cli.main(["--config", cfg, "--output", str(out)]) == 0
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
+
+    def test_huge_plane_component_is_a_direction(self, tmp_path):
+        # |plane[1]|^2 overflows for 1e300; the plane is still the x-z plane
+        outputs = []
+        for scale in (1.0, 1.0e300):
+            doc = base_config(regime="general", sweep={
+                "kind": "phi", "min": 0.0, "max": 3.0, "points": 3, "omega": 4.0e13,
+                "plane": [[1, 0, 0], [0, 0, scale]]})
+            cfg = self.write_config(tmp_path, doc)
+            out = tmp_path / f"plane_{scale:g}.csv"
+            assert cli.main(["--config", cfg, "--output", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("preset", [["Ge4"], {}], ids=["list", "dict"])
+    def test_non_string_preset_exit_two(self, tmp_path, capsys, preset):
+        doc = base_config(valleys={"preset": preset, "n": 1.0e16, "theta_K": 300.0})
+        cfg = self.write_config(tmp_path, doc)
+        assert cli.main(["--config", cfg, "--output", str(tmp_path / "x.csv")]) == 2
+        assert "valleys.preset" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", [1e-320, 1e-310], ids=["theta-underflow", "n-underflow"])
+    def test_underivable_debye_radius_exit_two(self, tmp_path, capsys, n):
+        # the docs Si6 config gives no r_D; with these populations the mean
+        # temperature, or 4 pi e0^2 n_total, underflows to 0
+        doc = json.loads((DOCS / "config_si6_hot_polarization.json").read_text())
+        doc["valleys"]["n"] = n
+        cfg = self.write_config(tmp_path, doc)
+        assert cli.main(["--config", cfg, "--output", str(tmp_path / "x.csv")]) == 2
+        assert "material.r_D" in capsys.readouterr().err
 
     def test_integer_beyond_double_range_exit_two(self, tmp_path, capsys):
         doc = base_config()
@@ -399,3 +445,83 @@ def test_cli_process_matches_in_process_csv(tmp_path, checkout_env, name):
     expected = tmp_path / "in_process.csv"
     write_csv(run_sweep(parse_config((DOCS / name).read_text())), str(expected))
     assert out.read_bytes() == expected.read_bytes()
+
+
+# -- CLI exit-code fuzz --------------------------------------------------------
+
+# Among this seed's draws are a non-string valleys.preset and populations too
+# thin for a Debye radius, both of which once ended in a traceback.
+FUZZ_SEED = 5
+FUZZ_DRAWS = 200
+FUZZ_MAX_POINTS = 4  # keeps each draw a few milliseconds
+# Replacements of any JSON type, and extreme numbers for numeric fields.
+FUZZ_VALUES = (
+    [], [1.0, 2.0], ["a"], {}, {"x": 1.0}, "x", "", "classical", "quantum", "acoustic",
+    "both", True, False, None,
+)
+FUZZ_NUMBERS = (
+    1e308, -1e308, 1e200, -1.0, -3.0e16, 0.0, 5e-324, 1e-320, 2.2e-308,
+    10**400, -(10**400), math.inf, -math.inf, math.nan,
+)
+
+
+def _json_paths(node, prefix=()):
+    """Key paths of every value below ``node``: dict keys and list indices."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)) and value:
+            yield from _json_paths(value, prefix + (key,))
+
+
+def _fuzz_doc(doc, rng):
+    """``doc`` with one to three random drops or value swaps, and
+    ``sweep.points`` clamped small."""
+    for _ in range(rng.randint(1, 3)):
+        paths = list(_json_paths(doc))
+        if not paths:
+            break
+        *parents, key = rng.choice(paths)
+        container = doc
+        for part in parents:
+            container = container[part]
+        value = container[key]
+        numeric = isinstance(value, (int, float, list)) and not isinstance(value, bool)
+        roll = rng.random()
+        if roll < 0.2:
+            del container[key]
+        elif roll < 0.4 or not numeric:
+            container[key] = copy.deepcopy(rng.choice(FUZZ_VALUES + FUZZ_NUMBERS))
+        else:
+            container[key] = rng.choice(FUZZ_NUMBERS)
+    sweep = doc.get("sweep")
+    if isinstance(sweep, dict):
+        points = sweep.get("points")
+        if type(points) is int and 2 <= points < 10**6:
+            sweep["points"] = min(points, FUZZ_MAX_POINTS)
+    return doc
+
+
+def test_cli_fuzz_exits_with_documented_codes(tmp_path):
+    rng = random.Random(FUZZ_SEED)
+    docs = [json.loads((DOCS / name).read_text()) for name in
+            ("config_ge4_spectrum.json", "config_si6_hot_polarization.json")]
+    cfg, out = tmp_path / "fuzz.json", tmp_path / "fuzz.csv"
+    codes, failures = [], []
+    for draw in range(FUZZ_DRAWS):
+        doc = _fuzz_doc(json.loads(json.dumps(rng.choice(docs))), rng)
+        cfg.write_text(json.dumps(doc))  # non-finite numbers as NaN/Infinity, which json reads
+        err = io.StringIO()
+        try:
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main(["--config", str(cfg), "--output", str(out)])
+        except Exception:
+            code, stderr = None, traceback.format_exc()
+        else:
+            stderr = err.getvalue()
+        codes.append(code)
+        if code not in (0, 2, 3, 4) or "Traceback" in stderr:
+            failures.append((draw, code, json.dumps(doc)[:400], stderr[-600:]))
+    assert not failures, failures[:3]
+    # the draws exercise runs as well as refusals
+    assert codes.count(0) >= 10 and codes.count(2) >= 10, codes

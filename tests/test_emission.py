@@ -221,3 +221,88 @@ class TestEmissionPolarizationLaw:
         phi = math.pi / 3.0
         predicted = w_perp + (w_par - w_perp) * math.cos(phi) ** 2
         assert w_at(phi) == pytest.approx(predicted, rel=1e-10)
+
+
+class TestKirchhoffClosedForms:
+    """Closed-form emission is the Kirchhoff projection of closed-form
+    absorption.  These are the hand-derived emission formulas that the
+    projection replaced, transcribed independently; production must match
+    them at several s and polarizations."""
+
+    POLS = ([0.0, 0.0, 1.0], [1.0, 1.0, 0.0], [0.3, -0.5, 0.9], [-0.7, 0.2, 0.4])
+
+    @staticmethod
+    def _valleys(theta):
+        # unequal populations and temperatures, so every valley's term counts
+        return mv.load_preset("Ge4").with_population(
+            [1e16, 3e15, 2e16, 5e15], [theta, 1.3 * theta, 0.8 * theta, 1.1 * theta]
+        )
+
+    @staticmethod
+    def _impurity_pref(material):
+        # e0^6 n_a sqrt(m_par) / (eps0^2 c^3 (m_par - m_perp)^2)
+        return (
+            mv.E_CHARGE**6 * material.n_a * math.sqrt(material.m_par)
+            / (material.eps0**2 * mv.C_LIGHT**3 * (material.m_par - material.m_perp) ** 2)
+        )
+
+    def _classical_impurity(self, valleys, material, pol):
+        # (1/(2 pi)^{3/2}) pref sum_i n_i L(x_min(theta_i)) / sqrt(theta_i) Psi(inf)
+        total = 0.0
+        for v in valleys:
+            x_min = mv.HBAR**2 / (8.0 * material.m_perp * v.theta * material.r_D**2)
+            psi = psi_infinity(mv.cos_phi(v, pol) ** 2, material)
+            total += v.n / math.sqrt(v.theta) * coulomb_log(x_min) * psi
+        return self._impurity_pref(material) / (2.0 * math.pi) ** 1.5 * total
+
+    def _quantum_impurity(self, valleys, material, omega, pol):
+        # (1/(sqrt 2 pi)) pref (hbar omega)^{-1/2} sum_i n_i e^{-hbar omega/theta_i} Psi(inf)
+        total = 0.0
+        for v in valleys:
+            psi = psi_infinity(mv.cos_phi(v, pol) ** 2, material)
+            total += v.n * math.exp(-mv.HBAR * omega / v.theta) * psi
+        pref = self._impurity_pref(material) / (math.sqrt(2.0) * math.pi)
+        return pref / math.sqrt(mv.HBAR * omega) * total
+
+    @staticmethod
+    def _classical_acoustic(valleys, material, pol):
+        # (4 e0^2/3 pi^{5/2} c^3) sum_i n_i theta_i {weight}
+        total = 0.0
+        for v in valleys:
+            c2 = mv.cos_phi(v, pol) ** 2
+            weight = (
+                (1.0 - c2) / (material.m_perp * material.tau_perp0)
+                + c2 / (material.m_par * material.tau_par0)
+            )
+            total += v.n * v.theta * weight
+        return 4.0 * mv.E_CHARGE**2 / (3.0 * math.pi**2.5 * mv.C_LIGHT**3) * total
+
+    @pytest.mark.parametrize("s_cold", [1e-4, 3e-3, 0.08])
+    def test_classical_impurity(self, ge_material, theta_300, s_cold):
+        valleys = self._valleys(theta_300)
+        omega = omega_for_s(s_cold, 0.8 * theta_300)  # s of the coldest valley
+        for vec in self.POLS:
+            pol = mv.Polarization.from_vector(vec)
+            got = mv.emission_impurity(valleys, ge_material, omega, pol, "classical")
+            want = self._classical_impurity(valleys, ge_material, pol)
+            assert got.dW_dOmega == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("s_hot", [10.0, 40.0, 200.0])
+    def test_quantum_impurity(self, ge_material, theta_300, s_hot):
+        valleys = self._valleys(theta_300)
+        omega = omega_for_s(s_hot, 1.3 * theta_300)  # s of the hottest valley
+        for vec in self.POLS:
+            pol = mv.Polarization.from_vector(vec)
+            got = mv.emission_impurity(valleys, ge_material, omega, pol, "quantum")
+            want = self._quantum_impurity(valleys, ge_material, omega, pol)
+            assert got.dW_dOmega == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("s_cold", [1e-4, 3e-3, 0.08])
+    def test_classical_acoustic(self, ge_material, theta_300, s_cold):
+        valleys = self._valleys(theta_300)
+        omega = omega_for_s(s_cold, 0.8 * theta_300)
+        for vec in self.POLS:
+            pol = mv.Polarization.from_vector(vec)
+            got = mv.emission_acoustic(valleys, ge_material, omega, pol, "classical")
+            want = self._classical_acoustic(valleys, ge_material, pol)
+            assert got.dW_dOmega == pytest.approx(want, rel=1e-12, abs=0.0)
