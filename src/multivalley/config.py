@@ -335,16 +335,15 @@ def run_sweep(config: RunConfig) -> SweepResult:
     its frequency, once for both observables, and projects its polarization
     from them.  Closed forms check their regime guards at each frequency in
     grid order, so an invalid sweep fails at the first offending frequency
-    and names it.
+    and names it; a cell that is not finite raises ``FloatingPointError``.
     """
     observables = [
         o for o in (Observable.ABSORPTION, Observable.EMISSION)
         if config.observable in (o, Observable.BOTH)
     ]
+    value_columns = [_COLUMNS[o] for o in observables]
     columns = ["phi_rad"] if config.sweep.kind == "phi" else []
-    columns += ["omega_rad_per_s", "hbar_omega_eV"]
-    columns += [_COLUMNS[o] for o in observables]
-    columns += ["regime", "mechanism"]
+    columns += ["omega_rad_per_s", "hbar_omega_eV", *value_columns, "regime", "mechanism"]
 
     grid = config.sweep.grid()
     if config.sweep.kind == "omega":
@@ -366,7 +365,11 @@ def run_sweep(config: RunConfig) -> SweepResult:
         )
         row: list = [] if phi is None else [phi]
         row += [omega, HBAR * omega / ERG_PER_EV]
-        row += [_project(t, pol) for t in terms]
+        for column, t in zip(value_columns, terms):
+            cell = _project(t, pol)
+            if not math.isfinite(cell):
+                raise FloatingPointError(f"{column} is {cell} at omega = {omega:.6e} rad/s")
+            row.append(cell)
         row += [config.regime.value, config.mechanism.value]
         rows.append(tuple(row))
 

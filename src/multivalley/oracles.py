@@ -5,26 +5,33 @@ the closed-form angular integral against a direct unit-sphere quadrature, the
 integration-by-parts identity behind the single-integral absorbed power, and
 the energy-shift relation behind detailed balance.  :func:`spectral_integral`
 is the adaptive (QUADPACK) reference for the fixed spectral rule of
-``quadrature``.  They ship with the library so the certification is
-reproducible outside CI; nothing on the runtime path imports this module.
+``quadrature``.  The module also holds the references that only the
+certification evaluates: the unit-sphere rule, the screened shape parameter
+:func:`b_param` and the screened shape function :func:`psi`.  They ship with
+the library so the certification is reproducible outside CI; nothing on the
+runtime path imports this module, and none of it is public API.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 from scipy import integrate as _sci_integrate
 
 from .constants import C_LIGHT, E_CHARGE, HBAR
-from .errors import QuadratureError
+from .errors import ConfigError, QuadratureError
 from .geometry import Material, Polarization, Valley, cos_phi
-from .quadrature import integrate_unit_sphere
 from .special import shape_b1, shape_b2
 
 __all__ = [
+    "ShapeParams",
+    "b_param",
+    "psi",
+    "integrate_unit_sphere",
     "spectral_integral",
     "angular_integral_numeric",
     "angular_integral_closed",
@@ -48,6 +55,94 @@ def _quad(f: Callable[[float], float], a: float, b: float, rel: float) -> float:
         raise QuadratureError(f"oracle quadrature failed: {result[3]}",
                               estimate=result[1])
     return result[0]
+
+
+@dataclass(frozen=True)
+class ShapeParams:
+    """Screening/anisotropy parameter pair.
+
+    ``b0`` is the pure mass-anisotropy value, b0^2 = m_perp/(m_par - m_perp);
+    ``b`` includes Debye screening, b^2 = b0^2 * (1 + 1/(q* r_D)^2), so
+    b >= b0 with equality in the unscreened (q* r_D -> inf) limit.
+    """
+
+    b: float
+    b0: float
+
+
+def b_param(q_star: float, r_D: float, m_perp: float, m_par: float) -> ShapeParams:
+    """Shape parameters at momentum transfer ``q_star`` (cm^-1).
+
+    ``q_star = math.inf`` is accepted as the unscreened limit and returns
+    b = b0 exactly.
+    """
+    if m_par <= m_perp:
+        raise ConfigError(
+            f"m_par ({m_par}) must exceed m_perp ({m_perp}): "
+            "the shape factors assume prolate valleys"
+        )
+    b0 = math.sqrt(m_perp / (m_par - m_perp))
+    if math.isinf(q_star):
+        return ShapeParams(b=b0, b0=b0)
+    if q_star <= 0.0 or r_D <= 0.0:
+        raise ValueError("q_star and r_D must be positive")
+    b = b0 * math.sqrt(1.0 + 1.0 / (q_star * r_D) ** 2)
+    return ShapeParams(b=b, b0=b0)
+
+
+def psi(q_star: float, cos2phi: float, material: Material) -> float:
+    """Polarization-weighted shape function at momentum transfer ``q_star``.
+
+    Affine in cos^2(phi): the transverse endpoint is B1(b), the longitudinal
+    endpoint is 2 (m_perp/m_par) B2(b).
+    """
+    if not 0.0 <= cos2phi <= 1.0:
+        raise ValueError(f"cos2phi must lie in [0, 1], got {cos2phi}")
+    params = b_param(q_star, material.require_r_D(), material.m_perp, material.m_par)
+    b1 = shape_b1(params.b)
+    b2 = shape_b2(params.b)
+    return (1.0 - cos2phi) * b1 + cos2phi * 2.0 * (material.m_perp / material.m_par) * b2
+
+
+_SPHERE_LEVELS = (8, 16, 32, 64, 128, 256, 512)
+
+
+def integrate_unit_sphere(
+    f: Callable[[np.ndarray], float],
+    rel_tol: float = 1e-10,
+) -> float:
+    """Integral of ``f(direction)`` over the unit sphere.
+
+    Product rule: Gauss-Legendre in cos(theta), uniform trapezoid in azimuth
+    (spectrally accurate for periodic integrands).  The node count doubles
+    until two successive levels agree to ``rel_tol`` relative.
+    """
+    previous = None
+    for n_polar in _SPHERE_LEVELS:
+        nodes, weights = np.polynomial.legendre.leggauss(n_polar)
+        n_azimuth = 2 * n_polar
+        phis = 2.0 * math.pi * np.arange(n_azimuth) / n_azimuth
+        total = 0.0
+        for u, w in zip(nodes, weights):
+            sin_theta = math.sqrt(max(0.0, 1.0 - u * u))
+            ring = 0.0
+            for phi in phis:
+                direction = np.array(
+                    [sin_theta * math.cos(phi), sin_theta * math.sin(phi), u]
+                )
+                ring += f(direction)
+            total += w * ring
+        total *= 2.0 * math.pi / n_azimuth
+        if previous is not None:
+            scale = max(abs(total), abs(previous), 1e-300)
+            if abs(total - previous) <= rel_tol * scale:
+                return total
+        previous = total
+    raise QuadratureError(
+        f"unit-sphere quadrature did not converge to rel_tol={rel_tol:g} "
+        f"within {_SPHERE_LEVELS[-1]} polar nodes",
+        estimate=abs(total - previous) if previous is not None else None,
+    )
 
 
 def spectral_integral(g: Callable[[float], float], s: float, rel_tol: float = 1e-12) -> float:

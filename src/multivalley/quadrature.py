@@ -1,21 +1,14 @@
-"""Numerical integration engines.
+"""The spectral integration engine:
 
-Two integrals recur throughout the package:
+    int_0^inf e^-x g(x) / sqrt(x (x + s)) dx,
 
-* semi-infinite spectral integrals of the form
-  ``int_0^inf e^-x g(x) / sqrt(x (x + s)) dx`` with a 1/sqrt(x) endpoint
-  singularity, and
-* surface integrals over the unit sphere, used by the brute-force
-  validation oracles.
-
-The spectral engine removes the endpoint singularity with the substitution
-x = t^2 and integrates the smooth transformed integrand with a fixed
-composite 15-point Gauss-Kronrod rule, evaluated as one numpy pass.  The
-panels are graded geometrically towards the scale sqrt(s), where the
-integrand turns over; the embedded 7-point Gauss rule gives every panel
-QUADPACK's error estimate.  The sphere engine is a product Gauss-Legendre
-(polar) x trapezoid (azimuth) rule with level doubling until two successive
-levels agree.
+a semi-infinite integral with a 1/sqrt(x) endpoint singularity.  The
+substitution x = t^2 removes the singularity, and a fixed composite
+15-point Gauss-Kronrod rule, evaluated as one numpy pass, integrates the
+smooth transformed integrand.  The panels are graded geometrically towards
+the scale sqrt(s), where the integrand turns over; the embedded 7-point
+Gauss rule gives every panel QUADPACK's error estimate.  The unit-sphere
+rule of the brute-force oracles lives in ``oracles``.
 """
 
 from __future__ import annotations
@@ -33,7 +26,6 @@ __all__ = [
     "DEFAULT_QUADRATURE",
     "integrate_spectral",
     "integrate_spectral_with_error",
-    "integrate_unit_sphere",
 ]
 
 
@@ -157,43 +149,3 @@ def integrate_spectral(
     """
     return integrate_spectral_with_error(g, s, spec)[0]
 
-
-_SPHERE_LEVELS = (8, 16, 32, 64, 128, 256, 512)
-
-
-def integrate_unit_sphere(
-    f: Callable[[np.ndarray], float],
-    rel_tol: float = 1e-10,
-) -> float:
-    """Integral of ``f(direction)`` over the unit sphere.
-
-    Product rule: Gauss-Legendre in cos(theta), uniform trapezoid in azimuth
-    (spectrally accurate for periodic integrands).  The node count doubles
-    until two successive levels agree to ``rel_tol`` relative.
-    """
-    previous = None
-    for n_polar in _SPHERE_LEVELS:
-        nodes, weights = np.polynomial.legendre.leggauss(n_polar)
-        n_azimuth = 2 * n_polar
-        phis = 2.0 * math.pi * np.arange(n_azimuth) / n_azimuth
-        total = 0.0
-        for u, w in zip(nodes, weights):
-            sin_theta = math.sqrt(max(0.0, 1.0 - u * u))
-            ring = 0.0
-            for phi in phis:
-                direction = np.array(
-                    [sin_theta * math.cos(phi), sin_theta * math.sin(phi), u]
-                )
-                ring += f(direction)
-            total += w * ring
-        total *= 2.0 * math.pi / n_azimuth
-        if previous is not None:
-            scale = max(abs(total), abs(previous), 1e-300)
-            if abs(total - previous) <= rel_tol * scale:
-                return total
-        previous = total
-    raise QuadratureError(
-        f"unit-sphere quadrature did not converge to rel_tol={rel_tol:g} "
-        f"within {_SPHERE_LEVELS[-1]} polar nodes",
-        estimate=abs(total - previous) if previous is not None else None,
-    )

@@ -1,5 +1,5 @@
-"""Closed-form kernels: anisotropy shape factors, screened-Coulomb angular
-factors B1/B2, the polarization function Psi, the Conwell-Weisskopf logarithm,
+"""Closed-form kernels: the screened-Coulomb angular factors B1/B2, the
+unscreened polarization function Psi(inf), the Conwell-Weisskopf logarithm,
 and modified Bessel functions K0/K1/K2 of the second kind.
 
 The Bessel functions are scipy's exponentially scaled ``kve`` (Amos'
@@ -8,31 +8,28 @@ where ``kve`` returns nan.  Their accuracy contract, relative error <= 1e-12
 on x in [1e-6, 700], is certified against mpmath's arbitrary-precision K,
 an independent oracle.  Only a^2 K2(a) enters the physics (the acoustic
 kernel), so ``scipy.special`` is imported on the first Bessel evaluation,
-not with this module.
+not with this module.  The screened shape function Psi and the shape
+parameter b, which only the oracles evaluate, live in ``oracles``.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .constants import EULER_GAMMA
-from .errors import ConfigError, RegimeError
+from .errors import RegimeError
 from .modes import XMIN_MAX
 
 if TYPE_CHECKING:  # pragma: no cover
     from .geometry import Material
 
 __all__ = [
-    "ShapeParams",
-    "b_param",
     "shape_b1",
     "shape_b2",
-    "psi",
     "psi_infinity",
     "coulomb_log",
     "bessel_k0",
@@ -47,41 +44,8 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# Anisotropy shape parameter b and the angular factors B1, B2
+# The angular factors B1, B2 of the anisotropy shape parameter b
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ShapeParams:
-    """Screening/anisotropy parameter pair.
-
-    ``b0`` is the pure mass-anisotropy value, b0^2 = m_perp/(m_par - m_perp);
-    ``b`` includes Debye screening, b^2 = b0^2 * (1 + 1/(q* r_D)^2), so
-    b >= b0 with equality in the unscreened (q* r_D -> inf) limit.
-    """
-
-    b: float
-    b0: float
-
-
-def b_param(q_star: float, r_D: float, m_perp: float, m_par: float) -> ShapeParams:
-    """Shape parameters at momentum transfer ``q_star`` (cm^-1).
-
-    ``q_star = math.inf`` is accepted as the unscreened limit and returns
-    b = b0 exactly.
-    """
-    if m_par <= m_perp:
-        raise ConfigError(
-            f"m_par ({m_par}) must exceed m_perp ({m_perp}): "
-            "the shape factors assume prolate valleys"
-        )
-    b0 = math.sqrt(m_perp / (m_par - m_perp))
-    if math.isinf(q_star):
-        return ShapeParams(b=b0, b0=b0)
-    if q_star <= 0.0 or r_D <= 0.0:
-        raise ValueError("q_star and r_D must be positive")
-    b = b0 * math.sqrt(1.0 + 1.0 / (q_star * r_D) ** 2)
-    return ShapeParams(b=b, b0=b0)
-
 
 # Above this the direct formulas for B1/B2 cancel catastrophically
 # (both decay like b^-4 while the individual terms are O(b^-2)).
@@ -142,22 +106,9 @@ def _shape_b12(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return b1, b2
 
 
-def psi(q_star: float, cos2phi: float, material: "Material") -> float:
-    """Polarization-weighted shape function at momentum transfer ``q_star``.
-
-    Affine in cos^2(phi): the transverse endpoint is B1(b), the longitudinal
-    endpoint is 2 (m_perp/m_par) B2(b).
-    """
-    if not 0.0 <= cos2phi <= 1.0:
-        raise ValueError(f"cos2phi must lie in [0, 1], got {cos2phi}")
-    params = b_param(q_star, material.require_r_D(), material.m_perp, material.m_par)
-    b1 = shape_b1(params.b)
-    b2 = shape_b2(params.b)
-    return (1.0 - cos2phi) * b1 + cos2phi * 2.0 * (material.m_perp / material.m_par) * b2
-
-
 def psi_infinity(cos2phi: float, material: "Material") -> float:
-    """Unscreened limit of :func:`psi` (b frozen at b0)."""
+    """Unscreened (b = b0) shape function, affine in cos^2(phi): B1(b0)
+    across the valley axis, 2 (m_perp/m_par) B2(b0) along it."""
     if not 0.0 <= cos2phi <= 1.0:
         raise ValueError(f"cos2phi must lie in [0, 1], got {cos2phi}")
     b0 = math.sqrt(material.m_perp / (material.m_par - material.m_perp))
@@ -270,6 +221,14 @@ def acoustic_kernel(a: float) -> float:
     return -a * a * bessel_k2(a)
 
 
+# Below this a^2 K2e(a) = 2 + 2a + O(a^2) is 2 in double precision, while
+# a*a underflows and K2e(a) overflows (or a is 0, outside kve's domain).
+_KERNEL_A_MIN = 1e-100
+
+
 def acoustic_kernel_scaled(a: float) -> float:
-    """e^a times :func:`acoustic_kernel`, safe for large a."""
+    """e^a times :func:`acoustic_kernel`, safe for large a; its a -> 0 limit,
+    -2, below a = 1e-100."""
+    if 0.0 <= a < _KERNEL_A_MIN:
+        return -2.0
     return -a * a * bessel_k2e(a)

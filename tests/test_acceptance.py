@@ -14,7 +14,15 @@ import pytest
 
 import multivalley as mv
 from multivalley import cli, oracles
-from multivalley.impurity import combine_endpoints, spectral_endpoints
+from multivalley.constants import C_LIGHT, E_CHARGE, HBAR
+from multivalley.geometry import cos_phi
+from multivalley.impurity import (
+    combine_endpoints,
+    p_plus,
+    relaxation_impurity,
+    spectral_endpoints,
+    x_min,
+)
 from multivalley.special import coulomb_log, psi_infinity
 
 
@@ -36,7 +44,7 @@ THETA = mv.theta_from_kelvin(300.0)
 
 
 def _omega_s(s):
-    return s * THETA / mv.HBAR
+    return s * THETA / HBAR
 
 
 def _valley(n=1.0e16):
@@ -81,7 +89,7 @@ def test_criterion_02_integration_by_parts_certification():
         theta = mv.theta_from_kelvin(float(rng.uniform(100.0, 600.0)))
         valley = mv.Valley(axis=(0.0, 0.0, 1.0), n=1e16, theta=theta)
         s = float(rng.uniform(0.05, 4.0))
-        omega = s * theta / mv.HBAR
+        omega = s * theta / HBAR
         pol = mv.Polarization.from_vector(rng.normal(size=3))
         double = oracles.double_integral_direct(valley, mat, omega, pol)
         boundary = oracles.boundary_term_integral(valley, mat, omega, pol)
@@ -102,7 +110,7 @@ def test_criterion_03_detailed_balance():
     for s in (0.1, 1.0, 5.0):
         omega = _omega_s(s)
         direct = oracles.p_minus_direct(valley, mat, omega, POL, 1.0)
-        plus = mv.p_plus(valley, mat, omega, POL, 1.0)
+        plus = p_plus(valley, mat, omega, POL, 1.0)
         worst = max(worst, abs(direct / plus / (-math.exp(-s)) - 1.0))
     _report(
         3,
@@ -115,7 +123,7 @@ def test_criterion_03_detailed_balance():
 def test_criterion_04_impurity_classical_limit():
     mat = _material()
     vs = mv.ValleySet((_valley(),))
-    xm = mv.x_min(mat, THETA)
+    xm = x_min(mat, THETA)
     deviations = []
     for s in (1e-1, 1e-2, 1e-3):
         omega = _omega_s(s)
@@ -136,7 +144,7 @@ def test_criterion_05_impurity_quantum_limit():
     mat = _material()
     vs = mv.ValleySet((_valley(),))
     omega = _omega_s(100.0)
-    screening = 2.0 * mat.m_perp * omega * mat.r_D**2 / mv.HBAR
+    screening = 2.0 * mat.m_perp * omega * mat.r_D**2 / HBAR
     kg = mv.absorption_impurity(vs, mat, omega, POL, "general")
     kq = mv.absorption_impurity(vs, mat, omega, POL, "quantum")
     ratio_dev = abs(kg / kq - 1.0)
@@ -154,13 +162,13 @@ def test_criterion_05_impurity_quantum_limit():
 def test_criterion_06_acoustic_limits():
     mat = _material()
     vs = mv.ValleySet((_valley(),))
-    omega_cl = 2.0 * 1e-2 * THETA / mv.HBAR  # a = 1e-2
+    omega_cl = 2.0 * 1e-2 * THETA / HBAR  # a = 1e-2
     dev_cl = abs(
         mv.absorption_acoustic(vs, mat, omega_cl, POL, "general")
         / mv.absorption_acoustic(vs, mat, omega_cl, POL, "classical")
         - 1.0
     )
-    omega_q = 2.0 * 20.0 * THETA / mv.HBAR  # a = 20
+    omega_q = 2.0 * 20.0 * THETA / HBAR  # a = 20
     dev_q = abs(
         mv.absorption_acoustic(vs, mat, omega_q, POL, "general")
         / mv.absorption_acoustic(vs, mat, omega_q, POL, "quantum")
@@ -187,7 +195,7 @@ def test_criterion_07_cubic_symmetry_isotropy():
     for preset, cos2_sum in (("Ge4", 4.0 / 3.0), ("Si6", 2.0)):
         vs = mv.load_preset(preset).with_population(1e16, THETA)
         pols = [mv.Polarization.from_vector(rng.normal(size=3)) for _ in range(8)]
-        sums = [sum(mv.cos_phi(v, p) ** 2 for v in vs) for p in pols]
+        sums = [sum(cos_phi(v, p) ** 2 for v in vs) for p in pols]
         assert max(abs(t - cos2_sum) for t in sums) < 1e-12
         for values in (
             [mv.absorption_impurity(vs, mat, omega, p, "general") for p in pols],
@@ -249,7 +257,7 @@ def test_criterion_09_emission_limits():
     w2 = mv.emission_acoustic(vs, mat, _omega_s(5e-2), POL, "classical").dW_dOmega
     flat_dev = abs(w1 / w2 - 1.0)
     # acoustic general vs classical at a = 1e-2
-    omega_a = 2.0 * 1e-2 * THETA / mv.HBAR
+    omega_a = 2.0 * 1e-2 * THETA / HBAR
     ac_dev = abs(
         mv.emission_acoustic(vs, mat, omega_a, POL, "general").dW_dOmega
         / mv.emission_acoustic(vs, mat, omega_a, POL, "classical").dW_dOmega
@@ -264,13 +272,13 @@ def test_criterion_09_emission_limits():
     )
     # the two classical impurity emission forms
     produced = mv.emission_impurity(vs, mat, omega_i, POL, "classical").dW_dOmega
-    tau = mv.relaxation_impurity(mat, THETA)
+    tau = relaxation_impurity(mat, THETA)
     valley = vs.valleys[0]
-    c2 = mv.cos_phi(valley, POL) ** 2
+    c2 = cos_phi(valley, POL) ** 2
     tensor_form = (
         3.0
-        * mv.E_CHARGE**2
-        / (16.0 * math.pi**1.5 * mv.C_LIGHT**3)
+        * E_CHARGE**2
+        / (16.0 * math.pi**1.5 * C_LIGHT**3)
         * valley.n
         * valley.theta
         * ((1.0 - c2) / (mat.m_perp * tau.tau_perp) + c2 / (mat.m_par * tau.tau_par))
@@ -288,7 +296,7 @@ def test_criterion_09_emission_limits():
 
 
 def test_criterion_10_cross_mechanism_coefficient_ratio():
-    tau = mv.relaxation_impurity(_material(), THETA)
+    tau = relaxation_impurity(_material(), THETA)
     mat = dataclasses.replace(
         _material(), tau_perp0=tau.tau_perp, tau_par0=tau.tau_par
     )

@@ -22,7 +22,9 @@ from multivalley.config import (
     run_sweep,
     write_csv,
 )
+from multivalley.constants import M_ELECTRON
 from multivalley.errors import ConfigError, QuadratureError
+from multivalley.geometry import debye_radius
 
 
 def base_config(**overrides):
@@ -54,10 +56,10 @@ class TestParseConfig:
         del doc["material"]["r_D"]
         config = parse_config(json.dumps(doc))
         theta = mv.theta_from_kelvin(300.0)
-        expected = mv.debye_radius(16.0, theta, 4.0e16)  # four populated valleys
-        assert config.material.r_D == pytest.approx(expected, rel=1e-14)
+        expected = debye_radius(16.0, theta, 4.0e16)  # four populated valleys
+        assert config.material.r_D == pytest.approx(expected, rel=1e-14, abs=0)
         assert len(config.valleys) == 4
-        assert config.material.m_perp == pytest.approx(0.082 * mv.M_ELECTRON)
+        assert config.material.m_perp == pytest.approx(0.082 * M_ELECTRON, rel=1e-6, abs=0)
 
     def test_mass_ordering_error_names_both_fields(self):
         doc = base_config()
@@ -79,7 +81,7 @@ class TestParseConfig:
         cfg_k = parse_config(json.dumps(doc_k))
         cfg_ev = parse_config(json.dumps(doc_ev))
         for a, b in zip(cfg_k.valleys, cfg_ev.valleys):
-            assert a.theta == pytest.approx(b.theta, rel=1e-15)
+            assert a.theta == pytest.approx(b.theta, rel=1e-15, abs=0)
 
     def test_explicit_valley_list(self):
         doc = base_config()
@@ -342,6 +344,22 @@ class TestCli:
         cfg = self.write_config(tmp_path, doc)
         assert cli.main(["--config", cfg, "--output", str(tmp_path / "x.csv")]) == 2
         assert "material.r_D" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("omega", [1e10, 1e12, 1e-20])
+    def test_vanishing_acoustic_kernel_argument_exit_four(self, tmp_path, capsys, omega):
+        # theta far above the documented domain puts a = hbar omega/(2 theta)
+        # at or below 1e-300: the kernel takes its exact limit, and the cells
+        # that are still not finite (n theta overflows) are a numerical error,
+        # never a nan cell or a traceback
+        doc = json.loads((DOCS / "config_si6_hot_polarization.json").read_text())
+        doc["valleys"]["theta_K"] = 1e308
+        doc["material"]["r_D"] = 3e-5
+        doc["sweep"].update(omega=omega, points=3)
+        cfg, out = self.write_config(tmp_path, doc), tmp_path / "x.csv"
+        assert cli.main(["--config", cfg, "--output", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert f"FloatingPointError: dW_dOmega_cgs is nan at omega = {omega:.6e}" in err
+        assert "Traceback" not in err and not out.exists()
 
     def test_integer_beyond_double_range_exit_two(self, tmp_path, capsys):
         doc = base_config()

@@ -5,17 +5,23 @@ import numpy as np
 import pytest
 
 import multivalley as mv
+from multivalley.constants import EULER_GAMMA
 from multivalley.errors import RegimeError
+from multivalley.oracles import b_param, psi
 from multivalley.special import (
     _shape_b12,
     acoustic_kernel,
     acoustic_kernel_scaled,
     bessel_k0,
-    bessel_k1,
-    bessel_k2,
     bessel_k0e,
+    bessel_k1,
     bessel_k1e,
+    bessel_k2,
     bessel_k2e,
+    coulomb_log,
+    psi_infinity,
+    shape_b1,
+    shape_b2,
 )
 
 mp.mp.dps = 30
@@ -30,32 +36,32 @@ def material_with_ratio(ratio, r_D=3e-5):
 
 class TestBParam:
     def test_unscreened_ratio_two(self):
-        p = mv.b_param(math.inf, 3e-5, 1.0, 2.0)
-        assert p.b == pytest.approx(1.0, rel=1e-15)
+        p = b_param(math.inf, 3e-5, 1.0, 2.0)
+        assert p.b == pytest.approx(1.0, rel=1e-15, abs=0)
         assert p.b0 == p.b
 
     def test_unscreened_ratio_five(self):
-        p = mv.b_param(math.inf, 3e-5, 1.0, 5.0)
-        assert p.b == pytest.approx(0.5, rel=1e-15)
+        p = b_param(math.inf, 3e-5, 1.0, 5.0)
+        assert p.b == pytest.approx(0.5, rel=1e-15, abs=0)
 
     def test_screened_unit_product(self):
         # q* r_D = 1 with b0 = 1 gives b = sqrt(2)
-        p = mv.b_param(1.0 / 3e-5, 3e-5, 1.0, 2.0)
-        assert p.b == pytest.approx(math.sqrt(2.0), rel=1e-14)
+        p = b_param(1.0 / 3e-5, 3e-5, 1.0, 2.0)
+        assert p.b == pytest.approx(math.sqrt(2.0), rel=1e-14, abs=0)
 
     def test_invariant_b_ge_b0(self):
         for q_rd in (0.1, 1.0, 10.0, 1e6):
-            p = mv.b_param(q_rd / 3e-5, 3e-5, 1.0, 3.0)
+            p = b_param(q_rd / 3e-5, 3e-5, 1.0, 3.0)
             assert p.b >= p.b0 > 0.0
 
 
 class TestShapeFactors:
     def test_b1_at_one(self):
         # (1 - b^2) kills the arctan term
-        assert mv.shape_b1(1.0) == pytest.approx(1.0, rel=1e-15)
+        assert shape_b1(1.0) == pytest.approx(1.0, rel=1e-15, abs=0)
 
     def test_b2_at_one(self):
-        assert mv.shape_b2(1.0) == pytest.approx(math.pi / 4.0 - 0.5, rel=1e-15)
+        assert shape_b2(1.0) == pytest.approx(math.pi / 4.0 - 0.5, rel=1e-15, abs=0)
 
     # frozen arbitrary-precision evaluations of the defining formulas
     @pytest.mark.parametrize(
@@ -68,26 +74,26 @@ class TestShapeFactors:
         ],
     )
     def test_reference_values(self, b, expected_b1, expected_b2):
-        assert mv.shape_b1(b) == pytest.approx(expected_b1, rel=1e-12)
-        assert mv.shape_b2(b) == pytest.approx(expected_b2, rel=1e-12)
+        assert shape_b1(b) == pytest.approx(expected_b1, rel=1e-12, abs=0)
+        assert shape_b2(b) == pytest.approx(expected_b2, rel=1e-12, abs=0)
 
     def test_positive_on_grid(self):
         for b in np.geomspace(1e-3, 1e3, 120):
-            assert mv.shape_b1(float(b)) > 0.0
-            assert mv.shape_b2(float(b)) > 0.0
+            assert shape_b1(float(b)) > 0.0
+            assert shape_b2(float(b)) > 0.0
 
     def test_monotone_decreasing_above_one(self):
         grid = np.geomspace(1.0, 1e3, 80)
-        b1 = [mv.shape_b1(float(b)) for b in grid]
-        b2 = [mv.shape_b2(float(b)) for b in grid]
+        b1 = [shape_b1(float(b)) for b in grid]
+        b2 = [shape_b2(float(b)) for b in grid]
         assert all(x > y for x, y in zip(b1, b1[1:]))
         assert all(x > y for x, y in zip(b2, b2[1:]))
 
     def test_large_b_tail(self):
         # both decay like 1/b^4: 4/3 and 2/3 coefficients
         b = 5e2
-        assert mv.shape_b1(b) == pytest.approx(4.0 / (3.0 * b**4), rel=1e-4)
-        assert mv.shape_b2(b) == pytest.approx(2.0 / (3.0 * b**4), rel=1e-4)
+        assert shape_b1(b) == pytest.approx(4.0 / (3.0 * b**4), rel=1e-4, abs=0)
+        assert shape_b2(b) == pytest.approx(2.0 / (3.0 * b**4), rel=1e-4, abs=0)
 
     def test_array_kernel_matches_scalar(self):
         # The grid crosses the b = 8 switch to the tail series.  Below it the
@@ -98,7 +104,7 @@ class TestShapeFactors:
         b1, b2 = _shape_b12(grid)
         assert (grid > 8.0).any() and (grid < 8.0).any()
         for b, array_b1, array_b2 in zip(grid.tolist(), b1.tolist(), b2.tolist()):
-            scalar_b1, scalar_b2 = mv.shape_b1(b), mv.shape_b2(b)
+            scalar_b1, scalar_b2 = shape_b1(b), shape_b2(b)
             if b > 8.0:
                 scale_b1, scale_b2 = scalar_b1, scalar_b2
             else:
@@ -112,70 +118,70 @@ class TestShapeFactors:
 class TestPsi:
     def test_transverse_endpoint(self):
         mat = material_with_ratio(2.0)
-        assert mv.psi(math.inf, 0.0, mat) == pytest.approx(
-            mv.shape_b1(1.0), rel=1e-15
+        assert psi(math.inf, 0.0, mat) == pytest.approx(
+            shape_b1(1.0), rel=1e-15, abs=0
         )
 
     def test_longitudinal_endpoint(self):
         mat = material_with_ratio(2.0)
-        assert mv.psi(math.inf, 1.0, mat) == pytest.approx(
-            2.0 * 0.5 * mv.shape_b2(1.0), rel=1e-15
+        assert psi(math.inf, 1.0, mat) == pytest.approx(
+            2.0 * 0.5 * shape_b2(1.0), rel=1e-15, abs=0
         )
 
     def test_midpoint_value(self):
         # b = 1, m_par = 2 m_perp: affine midpoint of 1 and pi/4 - 1/2
         mat = material_with_ratio(2.0)
-        assert mv.psi(math.inf, 0.5, mat) == pytest.approx(0.6426991, abs=1e-7)
+        assert psi(math.inf, 0.5, mat) == pytest.approx(0.6426991, abs=1e-7)
 
     def test_affine_in_cos2(self):
         mat = material_with_ratio(4.3)
         q = 2.0e5
-        p0 = mv.psi(q, 0.0, mat)
-        p1 = mv.psi(q, 1.0, mat)
+        p0 = psi(q, 0.0, mat)
+        p1 = psi(q, 1.0, mat)
         for c in (0.2, 0.35, 0.8):
-            assert mv.psi(q, c, mat) == pytest.approx(
-                (1.0 - c) * p0 + c * p1, rel=1e-14
+            assert psi(q, c, mat) == pytest.approx(
+                (1.0 - c) * p0 + c * p1, rel=1e-14, abs=0
             )
 
     def test_psi_infinity_consistent_with_large_q(self):
         mat = material_with_ratio(19.4)
         for c in (0.0, 0.3, 1.0):
-            assert mv.psi_infinity(c, mat) == pytest.approx(
-                mv.psi(1e30, c, mat), rel=1e-12
+            assert psi_infinity(c, mat) == pytest.approx(
+                psi(1e30, c, mat), rel=1e-12, abs=0
             )
 
     def test_psi_infinity_endpoints(self):
         mat = material_with_ratio(2.0)
-        assert mv.psi_infinity(0.0, mat) == pytest.approx(1.0, rel=1e-15)
-        assert mv.psi_infinity(1.0, mat) == pytest.approx(
-            math.pi / 4.0 - 0.5, rel=1e-14
+        assert psi_infinity(0.0, mat) == pytest.approx(1.0, rel=1e-15, abs=0)
+        assert psi_infinity(1.0, mat) == pytest.approx(
+            math.pi / 4.0 - 0.5, rel=1e-14, abs=0
         )
 
     def test_positive(self):
         mat = material_with_ratio(12.0)
         for c in np.linspace(0.0, 1.0, 7):
-            assert mv.psi(5e4, float(c), mat) > 0.0
+            assert psi(5e4, float(c), mat) > 0.0
 
 
 class TestCoulombLog:
     def test_guard_triggers(self):
         with pytest.raises(RegimeError):
-            mv.coulomb_log(math.exp(-mv.EULER_GAMMA))  # ~0.5615, out of range
+            coulomb_log(math.exp(-EULER_GAMMA))  # ~0.5615, out of range
 
     def test_reference_value(self):
-        assert mv.coulomb_log(1e-4) == pytest.approx(8.6331247070746499, rel=1e-14)
+        assert coulomb_log(1e-4) == pytest.approx(8.6331247070746499, rel=1e-14, abs=0)
 
     def test_halving_adds_log_two(self):
         x = 3.1e-3
-        assert mv.coulomb_log(x / 2.0) - mv.coulomb_log(x) == pytest.approx(
-            math.log(2.0), rel=1e-12
+        assert coulomb_log(x / 2.0) - coulomb_log(x) == pytest.approx(
+            math.log(2.0), rel=1e-12, abs=0
         )
 
     def test_exact_complement(self):
         # as implemented, coulomb_log(x) + ln(x) is exactly -gamma
         for x in (1e-6, 1e-4, 1e-2, 0.09):
-            assert mv.coulomb_log(x) + math.log(x) == pytest.approx(
-                -mv.EULER_GAMMA, abs=1e-15
+            assert coulomb_log(x) + math.log(x) == pytest.approx(
+                -EULER_GAMMA, abs=1e-15
             )
 
 
@@ -187,7 +193,7 @@ class TestBesselK:
     def test_large_argument_asymptote(self):
         x = 50.0
         leading = math.sqrt(math.pi / (2.0 * x)) * math.exp(-x)
-        assert bessel_k1(x) == pytest.approx(leading, rel=1e-2)
+        assert bessel_k1(x) == pytest.approx(leading, rel=1e-2, abs=0)
 
     @pytest.mark.parametrize(
         "x,expected",
@@ -199,14 +205,14 @@ class TestBesselK:
         ],
     )
     def test_reference_values(self, x, expected):
-        assert bessel_k1(x) == pytest.approx(expected, rel=1e-12)
+        assert bessel_k1(x) == pytest.approx(expected, rel=1e-12, abs=0)
 
     def test_accuracy_contract_against_mpmath(self):
         for x in np.geomspace(1e-6, 700.0, 80):
             x = float(x)
             for order, fn in ((0, bessel_k0), (1, bessel_k1), (2, bessel_k2)):
                 ref = float(mp.besselk(order, mp.mpf(x)))
-                assert fn(x) == pytest.approx(ref, rel=1e-12)
+                assert fn(x) == pytest.approx(ref, rel=1e-12, abs=0)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
@@ -221,7 +227,7 @@ class TestBesselK:
         for x in (5e8, 2e9, 1e12, 1e16):
             for order, fn in ((0, bessel_k0e), (1, bessel_k1e), (2, bessel_k2e)):
                 ref = float(mp.besselk(order, mp.mpf(x)) * mp.exp(mp.mpf(x)))
-                assert fn(x) == pytest.approx(ref, rel=1e-14)
+                assert fn(x) == pytest.approx(ref, rel=1e-14, abs=0)
 
     def test_scaled_variant(self):
         # scaled form keeps working far beyond the unscaled domain
@@ -249,17 +255,24 @@ class TestAcousticKernel:
             h = a * 1e-5
             ratio = lambda t: bessel_k1(t) / t
             derivative = (ratio(a + h) - ratio(a - h)) / (2.0 * h)
-            assert acoustic_kernel(a) == pytest.approx(a**3 * derivative, rel=1e-6)
+            assert acoustic_kernel(a) == pytest.approx(a**3 * derivative, rel=1e-6, abs=0)
+
+    def test_scaled_vanishing_argument_limit(self):
+        # below a = 1e-100, a*a underflows while K2e(a) overflows (or a = 0):
+        # the exact limit a^2 K2e(a) -> 2 instead; from 1e-100 up, the formula
+        for a in (0.0, 1e-300, 1e-120):
+            assert acoustic_kernel_scaled(a) == -2.0
+        assert acoustic_kernel_scaled(1e-100) == -1e-100 * 1e-100 * bessel_k2e(1e-100)
 
     def test_scaled_against_mpmath(self):
         # the kernel the acoustic rate core uses, far beyond the unscaled domain
         for a in np.geomspace(1e-6, 1e5, 80):
             a = float(a)
             ref = float(-mp.mpf(a) ** 2 * mp.exp(a) * mp.besselk(2, mp.mpf(a)))
-            assert acoustic_kernel_scaled(a) == pytest.approx(ref, rel=1e-13)
+            assert acoustic_kernel_scaled(a) == pytest.approx(ref, rel=1e-13, abs=0)
 
     def test_scaled_consistency(self):
         for a in (0.3, 2.0, 15.0):
             assert acoustic_kernel_scaled(a) * math.exp(-a) == pytest.approx(
-                acoustic_kernel(a), rel=1e-13
+                acoustic_kernel(a), rel=1e-13, abs=0
             )
