@@ -26,8 +26,10 @@ import math
 
 from .constants import C_LIGHT, E_CHARGE, HBAR
 from .errors import RegimeError
-from .geometry import Material, Polarization, Terms, ValleySet, _absorbed, _populated, _project
-from .modes import CLASSICAL_S_MAX, QUANTUM_S_MIN, Regime
+from .geometry import (
+    Material, Polarization, Terms, ValleySet, _absorbed, _observe, _populated,
+)
+from .modes import CLASSICAL_S_MAX, QUANTUM_S_MIN, Observable, Regime
 from .special import acoustic_kernel_scaled
 
 __all__ = [
@@ -148,7 +150,7 @@ def absorption_acoustic(
         terms = _classical_absorption(valleys, material, omega)
     else:
         terms = _quantum_absorption(valleys, material, omega)
-    return _project(terms, pol)
+    return _observe(terms, pol, Observable.ABSORPTION, omega)
 
 
 def mobility_acoustic(material: Material, theta: float) -> tuple[float, float]:

@@ -5,12 +5,13 @@ multiples, eV or kelvin, cm^-3) are converted to internal CGS exactly once,
 here.  Sweeps evaluate either a frequency grid at fixed polarization or a
 polarization rotation at fixed frequency.
 
-Each sweep row evaluates the per-valley terms of its observables at its
-frequency (``emission._terms``, which with observable ``both`` runs the
-absorption side once) and projects its polarization from them through the
-cos^2 affine split.  Rows are emitted in grid order, so identical configs
-produce byte-identical CSV files.  The ``workers`` key is accepted and
-validated, but evaluation is serial: it changes neither values nor bytes.
+The per-valley terms of the observables come from ``emission._terms``, over
+the whole grid of an omega sweep or at each row of a phi sweep; with
+observable ``both`` it runs the absorption side once.  Each row projects its
+polarization from them through the cos^2 affine split.  Rows are emitted in
+grid order, so identical configs produce byte-identical CSV files.  The
+``workers`` key is accepted and validated, but evaluation is serial: it
+changes neither values nor bytes.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
+from typing import Iterator
 
 import numpy as np
 
@@ -28,8 +30,10 @@ from .geometry import (
     Material,
     Polarization,
     Valley,
+    Terms,
     ValleySet,
-    _project,
+    _COLUMNS,
+    _observe,
     debye_radius,
     load_preset,
 )
@@ -325,17 +329,16 @@ def parse_config(text: str) -> RunConfig:
     )
 
 
-_COLUMNS = {Observable.ABSORPTION: "K_per_cm", Observable.EMISSION: "dW_dOmega_cgs"}
-
-
 def run_sweep(config: RunConfig) -> SweepResult:
     """Evaluate the configured sweep; rows are ordered by grid index.
 
-    Each row evaluates the per-valley terms of the requested observables at
-    its frequency, once for both observables, and projects its polarization
-    from them.  Closed forms check their regime guards at each frequency in
-    grid order, so an invalid sweep fails at the first offending frequency
-    and names it; a cell that is not finite raises ``FloatingPointError``.
+    An omega sweep asks for the per-valley terms of the requested
+    observables over the whole grid at once, a phi sweep at each row; both
+    observables share them, and each row projects its polarization from
+    them.  Terms come frequency by frequency, so closed forms check their
+    regime guards in grid order, row by row: an invalid sweep fails at the
+    first offending frequency and names it; a cell that is not finite
+    raises ``FloatingPointError``.
     """
     observables = [
         o for o in (Observable.ABSORPTION, Observable.EMISSION)
@@ -345,9 +348,15 @@ def run_sweep(config: RunConfig) -> SweepResult:
     columns = ["phi_rad"] if config.sweep.kind == "phi" else []
     columns += ["omega_rad_per_s", "hbar_omega_eV", *value_columns, "regime", "mechanism"]
 
+    def terms(omegas: list[float]) -> Iterator[list[Terms]]:
+        return _terms(
+            config.mechanism, config.regime, observables, config.valleys, config.material, omegas
+        )
+
     grid = config.sweep.grid()
     if config.sweep.kind == "omega":
         points = [(None, float(w), config.polarization) for w in grid]
+        row_terms = terms([omega for _, omega, _ in points])
     else:
         e1, e2 = config.sweep.plane
         points = []
@@ -357,19 +366,13 @@ def run_sweep(config: RunConfig) -> SweepResult:
                 math.cos(phi) * a + math.sin(phi) * b for a, b in zip(e1, e2)
             )
             points.append((phi, config.sweep.omega, Polarization.from_vector(vec)))
+        row_terms = (next(terms([omega])) for _, omega, _ in points)
 
     rows = []
-    for phi, omega, pol in points:
-        terms = _terms(
-            config.mechanism, config.regime, observables, config.valleys, config.material, omega
-        )
+    for (phi, omega, pol), row_term in zip(points, row_terms):
         row: list = [] if phi is None else [phi]
         row += [omega, HBAR * omega / ERG_PER_EV]
-        for column, t in zip(value_columns, terms):
-            cell = _project(t, pol)
-            if not math.isfinite(cell):
-                raise FloatingPointError(f"{column} is {cell} at omega = {omega:.6e} rad/s")
-            row.append(cell)
+        row += [_observe(t, pol, o, omega) for o, t in zip(observables, row_term)]
         row += [config.regime.value, config.mechanism.value]
         rows.append(tuple(row))
 

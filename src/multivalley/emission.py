@@ -31,11 +31,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator, Sequence
 
 from . import acoustic, impurity
 from .constants import C_LIGHT, E_CHARGE, HBAR
 from .geometry import (
-    Material, Polarization, Terms, ValleySet, _absorbed, _populated, _project, _weighted,
+    Material, Polarization, Terms, ValleySet, _absorbed, _observe, _populated, _weighted,
 )
 
 # Re-exported: perfbench/tracing.py looks p_plus up in this module.
@@ -122,8 +123,8 @@ def _quantum_acoustic(valleys: ValleySet, material: Material, omega: float) -> T
 
 
 # What emission projects from: the general rate core, or closed-form absorption.
+# The general impurity rate core, which takes the whole grid, is not listed.
 _SOURCES = {
-    (Mechanism.IMPURITY, Regime.GENERAL): impurity._rates,
     (Mechanism.IMPURITY, Regime.CLASSICAL): impurity._classical_absorption,
     (Mechanism.IMPURITY, Regime.QUANTUM): impurity._quantum_absorption,
     (Mechanism.ACOUSTIC, Regime.GENERAL): acoustic._rates,
@@ -134,22 +135,31 @@ _SOURCES = {
 
 def _terms(
     mechanism: Mechanism, regime: Regime, observables: list[Observable],
-    valleys: ValleySet, material: Material, omega: float,
-) -> list[Terms]:
-    """Per-valley terms of each observable (ABSORPTION or EMISSION) at one
-    frequency.  The source runs once, checking a closed form's regime guards,
-    and both observables project from it; quantum acoustic emission alone
-    has its own formula."""
+    valleys: ValleySet, material: Material, omegas: Sequence[float],
+) -> Iterator[list[Terms]]:
+    """Per-valley terms of each observable (ABSORPTION or EMISSION), one list
+    per frequency, yielded in grid order.  Both observables project from one
+    evaluation of the source; quantum acoustic emission alone has its own
+    formula.  The general impurity rate core runs over the whole grid before
+    the first yield; every other source runs at each frequency as it is
+    reached, so a closed form's regime guards fail at the first offending
+    frequency."""
     if (mechanism, regime) == (Mechanism.ACOUSTIC, Regime.QUANTUM):
         forms = {Observable.ABSORPTION: acoustic._quantum_absorption,
                  Observable.EMISSION: _quantum_acoustic}
-        return [forms[o](valleys, material, omega) for o in observables]
-    source = _SOURCES[mechanism, regime](valleys, material, omega)
-    absorbed = _absorbed(source, omega) if regime is Regime.GENERAL else source
-    return [
-        absorbed if o is Observable.ABSORPTION else _emitted(source, material, omega, regime)
-        for o in observables
-    ]
+        for omega in omegas:
+            yield [forms[o](valleys, material, omega) for o in observables]
+        return
+    if (mechanism, regime) == (Mechanism.IMPURITY, Regime.GENERAL):
+        sources = impurity._rates(valleys, material, omegas)
+    else:
+        sources = (_SOURCES[mechanism, regime](valleys, material, omega) for omega in omegas)
+    for omega, source in zip(omegas, sources):
+        absorbed = _absorbed(source, omega) if regime is Regime.GENERAL else source
+        yield [
+            absorbed if o is Observable.ABSORPTION else _emitted(source, material, omega, regime)
+            for o in observables
+        ]
 
 
 def _emission(
@@ -159,9 +169,10 @@ def _emission(
     if not omega > 0.0:
         raise ValueError(f"omega must be positive, got {omega}")
     regime = Regime(regime)
-    (terms,) = _terms(mechanism, regime, [Observable.EMISSION], valleys, material, omega)
+    ((terms,),) = _terms(mechanism, regime, [Observable.EMISSION], valleys, material, [omega])
     return EmissionResult(
-        dW_dOmega=_project(terms, pol), omega=omega, regime=regime, mechanism=mechanism
+        dW_dOmega=_observe(terms, pol, Observable.EMISSION, omega),
+        omega=omega, regime=regime, mechanism=mechanism,
     )
 
 

@@ -28,6 +28,7 @@ from .constants import (
     theta_from_kelvin,
 )
 from .errors import ConfigError
+from .modes import Observable
 
 __all__ = [
     "Material",
@@ -309,6 +310,22 @@ def _project(terms: Terms, pol: Polarization) -> float:
         c2 = cos_phi(valley, pol) ** 2
         total += w * ((1.0 - c2) * r_perp + c2 * r_par)
     return factor * total
+
+
+# The CSV column of each observable, which also names it in errors.
+_COLUMNS = {Observable.ABSORPTION: "K_per_cm", Observable.EMISSION: "dW_dOmega_cgs"}
+
+
+def _observe(terms: Terms, pol: Polarization, observable: Observable, omega: float) -> float:
+    """The projected value of ``observable``; FloatingPointError, naming its
+    column and omega, if it is not finite (inputs far outside the documented
+    domain can overflow)."""
+    value = _project(terms, pol)
+    if not math.isfinite(value):
+        raise FloatingPointError(
+            f"{_COLUMNS[observable]} is {value} at omega = {omega:.6e} rad/s"
+        )
+    return value
 
 
 def _weighted(terms: Terms, omega: float, weight: Callable[[float], float]) -> Terms:

@@ -9,17 +9,19 @@ the Conwell-Weisskopf logarithm and the anisotropic relaxation tensor.
 
 Everything here is affine in cos^2(phi_i): the rate core :func:`_rates`
 computes each distinct temperature's transverse/longitudinal endpoint
-integrals once and returns per-valley (r_perp, r_par) pairs, which the
-shared projection combines linearly, so polarization laws hold to machine
-precision rather than quadrature tolerance.  Absorption, the absorbed power
-``p_plus`` and (in ``emission``) spontaneous emission all project from the
-same rates.
+integrals once, over a whole frequency grid in batched quadrature passes
+(:func:`_endpoints`), and returns per-valley (r_perp, r_par) pairs at each
+frequency, which the shared projection combines linearly, so polarization
+laws hold to machine precision rather than quadrature tolerance.
+Absorption, the absorbed power ``p_plus`` and (in ``emission``) spontaneous
+emission all project from the same rates.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -32,6 +34,7 @@ from .geometry import (
     ValleySet,
     Terms,
     _absorbed,
+    _observe,
     _populated,
     _project,
     incident_flux,
@@ -41,9 +44,10 @@ from .modes import (
     QUANTUM_S_MIN,
     QUANTUM_SCREENING_MIN,
     XMIN_MAX,
+    Observable,
     Regime,
 )
-from .quadrature import integrate_spectral
+from .quadrature import DEFAULT_QUADRATURE, _integrate
 from .special import _shape_b12, coulomb_log, psi_infinity
 
 __all__ = [
@@ -101,29 +105,30 @@ def spectral_endpoints(material: Material, theta: float, omega: float) -> tuple[
     (1 - c) I1 + c (2 m_perp/m_par) I2 with c = cos^2(phi).  Splitting this
     way keeps the result exactly affine in c.
     """
-    s = HBAR * omega / theta
+    i1, i2 = _endpoints(material, theta, [omega]).ravel().tolist()
+    return i1, i2
+
+
+def _endpoints(material: Material, theta: float, omegas: Sequence[float]) -> np.ndarray:
+    """(I1, I2) of :func:`spectral_endpoints` at every omega, shape (2, len(omegas)).
+
+    One quadrature pass evaluates both integrands, at both ends of the
+    momentum window, for many frequencies at once.
+    """
     kappa = math.sqrt(2.0 * material.m_perp * theta) / HBAR
     r_D = material.require_r_D()
     b0_sq = material.m_perp / material.mass_contrast
     inv_rd_sq = 1.0 / (r_D * r_D)
 
-    # Both integrals run on the same nodes, so B1 and B2 are evaluated once
-    # there, at both ends of the momentum window (stacked on axis 0).
-    shared: dict[str, np.ndarray] = {}
+    def sums(x: np.ndarray, s: np.ndarray) -> np.ndarray:
+        root_x = np.sqrt(x)
+        root_xs = np.sqrt(x + s)
+        q = kappa * np.array((root_xs + root_x, root_xs - root_x))
+        b1, b2 = _shape_b12(np.sqrt(b0_sq * (1.0 + inv_rd_sq / (q * q))))
+        return np.array((b1[0] + b1[1], b2[0] + b2[1]))
 
-    def sums(x: np.ndarray) -> dict[str, np.ndarray]:
-        if "x" not in shared or not np.array_equal(shared["x"], x):
-            root_x = np.sqrt(x)
-            root_xs = np.sqrt(x + s)
-            q = kappa * np.stack((root_xs + root_x, root_xs - root_x))
-            b1, b2 = _shape_b12(np.sqrt(b0_sq * (1.0 + inv_rd_sq / (q * q))))
-            shared.update(x=x, b1=b1[0] + b1[1], b2=b2[0] + b2[1])
-        return shared
-
-    return (
-        integrate_spectral(lambda x: sums(x)["b1"], s),
-        integrate_spectral(lambda x: sums(x)["b2"], s),
-    )
+    s = HBAR * np.asarray(omegas, dtype=float) / theta
+    return _integrate(sums, s, DEFAULT_QUADRATURE.rel_tol)[0]
 
 
 def combine_endpoints(
@@ -143,30 +148,37 @@ def _collision_scale(material: Material) -> float:
     )
 
 
-def _rates(valleys: ValleySet, material: Material, omega: float) -> Terms:
-    """General-regime rate core: per populated valley, (valley, 1, r_perp, r_par).
+def _rates(valleys: ValleySet, material: Material, omegas: Sequence[float]) -> list[Terms]:
+    """General-regime rate core: at each omega, per populated valley,
+    (valley, 1, r_perp, r_par).
 
     The pair is the valley's absorption coefficient (cm^-1) before the
     stimulated-emission factor 1 - e^{-s}, for polarization across and along
     its axis: the factor (2 pi)^{3/2} :func:`_collision_scale` / (hbar omega^3)
     times n_i / sqrt(theta_i) times I1 or 2 (m_perp/m_par) I2 of
-    :func:`spectral_endpoints`, which runs once per distinct valley
-    temperature.
+    :func:`spectral_endpoints`, which runs over the whole grid once per
+    distinct valley temperature.
     """
-    factor = _GENERAL_COEFF * _collision_scale(material) / (HBAR * omega**3)
-    endpoints: dict[float, tuple[float, float]] = {}
-    rates = []
-    for v in _populated(valleys):
-        if v.theta not in endpoints:
-            endpoints[v.theta] = spectral_endpoints(material, v.theta, omega)
-        scale = v.n / math.sqrt(v.theta)
-        rates.append((
-            v,
-            1.0,
-            scale * combine_endpoints(endpoints[v.theta], 0.0, material),
-            scale * combine_endpoints(endpoints[v.theta], 1.0, material),
-        ))
-    return factor, rates
+    populated = _populated(valleys)
+    endpoints = {
+        theta: _endpoints(material, theta, omegas).T.tolist()
+        for theta in dict.fromkeys(v.theta for v in populated)
+    }
+    coeff = _GENERAL_COEFF * _collision_scale(material)
+    terms = []
+    for j, omega in enumerate(omegas):
+        rates = []
+        for v in populated:
+            pair = endpoints[v.theta][j]
+            scale = v.n / math.sqrt(v.theta)
+            rates.append((
+                v,
+                1.0,
+                scale * combine_endpoints(pair, 0.0, material),
+                scale * combine_endpoints(pair, 1.0, material),
+            ))
+        terms.append((coeff / (HBAR * omega**3), rates))
+    return terms
 
 
 def p_plus(
@@ -181,7 +193,7 @@ def p_plus(
     wave of amplitude A0."""
     if not omega > 0.0:
         raise ValueError(f"omega must be positive, got {omega}")
-    factor, rates = _rates(ValleySet((valley,)), material, omega)
+    factor, rates = _rates(ValleySet((valley,)), material, [omega])[0]
     return _project((factor * incident_flux(omega, A0, material.eps0), rates), pol)
 
 
@@ -274,12 +286,12 @@ def absorption_impurity(
         raise ValueError(f"omega must be positive, got {omega}")
     regime = Regime(regime)
     if regime is Regime.GENERAL:
-        terms = _absorbed(_rates(valleys, material, omega), omega)
+        terms = _absorbed(_rates(valleys, material, [omega])[0], omega)
     elif regime is Regime.CLASSICAL:
         terms = _classical_absorption(valleys, material, omega)
     else:
         terms = _quantum_absorption(valleys, material, omega)
-    return _project(terms, pol)
+    return _observe(terms, pol, Observable.ABSORPTION, omega)
 
 
 def relaxation_impurity(material: Material, theta: float) -> RelaxationTensor:

@@ -207,19 +207,15 @@ def angular_integral_closed(
     (pi/q*^2) (m_perp/(m_par - m_perp))^2
         { A_perp^2 B1(b) + 2 (m_perp/m_par) A_par^2 B2(b) }.
     """
-    b0_sq = material.m_perp / material.mass_contrast
-    b = math.sqrt(b0_sq * (1.0 + 1.0 / (q_star * r_D) ** 2))
-    bracket = (
-        A_perp**2 * shape_b1(b)
-        + 2.0 * (material.m_perp / material.m_par) * A_par**2 * shape_b2(b)
-    )
-    return math.pi / q_star**2 * (material.m_perp / material.mass_contrast) ** 2 * bracket
+    return _y_closed(q_star, r_D, material, A_perp**2, A_par**2)
 
 
-def _y_closed(q: float, material: Material, a_perp_sq: float, a_par_sq: float) -> float:
-    b0_sq = material.m_perp / material.mass_contrast
-    r_D = material.require_r_D()
-    b = math.sqrt(b0_sq * (1.0 + 1.0 / (q * r_D) ** 2))
+def _y_closed(
+    q: float, r_D: float, material: Material, a_perp_sq: float, a_par_sq: float
+) -> float:
+    """:func:`angular_integral_closed` in the squared amplitudes, with b from
+    :func:`b_param`."""
+    b = b_param(q, r_D, material.m_perp, material.m_par).b
     bracket = (
         a_perp_sq * shape_b1(b)
         + 2.0 * (material.m_perp / material.m_par) * a_par_sq * shape_b2(b)
@@ -246,6 +242,7 @@ def momentum_window_integral(
     theta = valley.theta
     s = HBAR * omega / theta
     kappa = math.sqrt(2.0 * material.m_perp * theta) / HBAR
+    r_D = material.require_r_D()
     a_perp_sq, a_par_sq = _amplitudes(pol, valley, A0)
     root_x = math.sqrt(x)
     root_xs = math.sqrt(x + s)
@@ -254,7 +251,7 @@ def momentum_window_integral(
     if q_hi <= q_lo:
         return 0.0
     return _quad(
-        lambda q: q * _y_closed(q, material, a_perp_sq, a_par_sq),
+        lambda q: q * _y_closed(q, r_D, material, a_perp_sq, a_par_sq),
         q_lo,
         q_hi,
         rel_tol,
@@ -314,6 +311,7 @@ def boundary_term_integral(
     theta = valley.theta
     s = HBAR * omega / theta
     kappa = math.sqrt(2.0 * material.m_perp * theta) / HBAR
+    r_D = material.require_r_D()
     a_perp_sq, a_par_sq = _amplitudes(pol, valley, A0)
 
     # With x = t^2 the 1/sqrt(x) in dq/dx cancels against dx = 2 t dt.
@@ -323,8 +321,8 @@ def boundary_term_integral(
         q_hi = kappa * (t + root_xs)
         q_lo = kappa * (root_xs - t)
         ratio = t / root_xs
-        hi = q_hi * _y_closed(q_hi, material, a_perp_sq, a_par_sq) * (1.0 + ratio)
-        lo = q_lo * _y_closed(q_lo, material, a_perp_sq, a_par_sq) * (1.0 - ratio)
+        hi = q_hi * _y_closed(q_hi, r_D, material, a_perp_sq, a_par_sq) * (1.0 + ratio)
+        lo = q_lo * _y_closed(q_lo, r_D, material, a_perp_sq, a_par_sq) * (1.0 - ratio)
         return math.exp(-x) * kappa * (hi + lo)
 
     return theta * _quad(integrand, 0.0, math.sqrt(_X_CUT), rel_tol)
@@ -370,6 +368,7 @@ def p_minus_direct(
     theta = valley.theta
     s = HBAR * omega / theta
     kappa = math.sqrt(2.0 * material.m_perp * theta) / HBAR
+    r_D = material.require_r_D()
     a_perp_sq, a_par_sq = _amplitudes(pol, valley, A0)
 
     def window_integral(x: float) -> float:
@@ -381,7 +380,7 @@ def p_minus_direct(
         if q_hi <= q_lo:
             return 0.0
         return _quad(
-            lambda q: q * _y_closed(q, material, a_perp_sq, a_par_sq),
+            lambda q: q * _y_closed(q, r_D, material, a_perp_sq, a_par_sq),
             q_lo,
             q_hi,
             rel_tol * 0.1,

@@ -1,8 +1,10 @@
 import os
 
+import numpy as np
 import pytest
 
 import multivalley as mv
+from multivalley.quadrature import _CHUNK_NODES, DEFAULT_QUADRATURE, _integrate
 
 
 @pytest.fixture
@@ -46,3 +48,13 @@ def single_valley(valley_z):
 @pytest.fixture
 def pol_skew():
     return mv.Polarization.from_vector([0.3, -0.5, 0.9])
+
+
+@pytest.fixture
+def chunk():
+    """s values per quadrature pass when every row has the widest panel
+    layout (s = 0)."""
+    shapes = []
+    _integrate(lambda x, s: shapes.append(x.shape) or x[None], np.array([0.0]),
+               DEFAULT_QUADRATURE.rel_tol)
+    return _CHUNK_NODES // (shapes[0][1] * shapes[0][2])

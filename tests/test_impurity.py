@@ -1,16 +1,18 @@
 import dataclasses
 import itertools
+import json
 import math
 
 import numpy as np
 import pytest
 
 import multivalley as mv
-from multivalley import oracles
+from multivalley import oracles, quadrature
 from multivalley.constants import C_LIGHT, E_CHARGE, HBAR
 from multivalley.errors import RegimeError
 from multivalley.geometry import cos_phi, incident_flux
 from multivalley.impurity import (
+    _endpoints,
     combine_endpoints,
     mobility_impurity,
     p_minus,
@@ -433,3 +435,62 @@ class TestSpectralAccuracy:
             got = spectral_endpoints(material, theta, omega)
             want = oracle_endpoints(material, theta, omega)
             assert got == pytest.approx(want, rel=1e-9, abs=0), (m_perp, r_D, kelvin, omega)
+
+
+class TestBatchedEndpoints:
+    # Grid lengths around the pass size: (passes, offset) -> passes * chunk + offset.
+    @pytest.mark.parametrize("passes, offset", [(0, 1), (0, 2), (1, -1), (1, 0), (1, 1), (0, 200)])
+    @pytest.mark.parametrize("kelvin", [4.2, 300.0, 1e4])
+    def test_batched_matches_one_element_calls(self, ge_material, chunk, passes, offset, kelvin):
+        # 1e10-1e17 rad/s spans both layouts (s < 1 and s >= 1) at every temperature
+        theta = mv.theta_from_kelvin(kelvin)
+        omegas = np.geomspace(1e10, 1e17, passes * chunk + offset).tolist()
+        single = np.array([spectral_endpoints(ge_material, theta, w) for w in omegas]).T
+        np.testing.assert_allclose(_endpoints(ge_material, theta, omegas), single,
+                                   rtol=2e-15, atol=0)
+
+    def test_pass_count(self, ge_material, chunk, monkeypatch):
+        # a 200-point single-temperature sweep runs in at most ceil(200/chunk)
+        # passes, not one per frequency
+        passes = []
+        real = quadrature._pass
+        monkeypatch.setattr(quadrature, "_pass", lambda *a: passes.append(1) or real(*a))
+        omegas = np.geomspace(1e10, 1e17, 200).tolist()
+        _endpoints(ge_material, mv.theta_from_kelvin(300.0), omegas)
+        assert 1 < len(passes) <= math.ceil(200 / chunk)
+
+    def test_first_failing_frequency_wins(self, ge_material, monkeypatch):
+        # a synthetic estimate far above the tolerance at three frequencies in
+        # different passes: the error names the first of them in grid order
+        theta = mv.theta_from_kelvin(300.0)
+        omegas = np.geomspace(1e10, 1e17, 200).tolist()
+        failing = [omegas[150], omegas[60], omegas[170]]
+        real = quadrature._pass
+
+        def spoiled(g, s, edges):
+            value, abserr = real(g, s, edges)
+            for w in failing:
+                abserr[:, s == HBAR * w / theta] = 1.0
+            return value, abserr
+
+        monkeypatch.setattr(quadrature, "_pass", spoiled)
+        with pytest.raises(mv.QuadratureError, match=f"at s = {HBAR * omegas[60] / theta:.6e}"):
+            _endpoints(ge_material, theta, omegas)
+
+    @pytest.mark.parametrize("kelvin", [4.2, 1e4])
+    def test_sweep_raises_no_floating_point_error(self, kelvin):
+        # the CLI runs sweeps with numpy over/divide/invalid raising; the
+        # batched passes (zero-width padding panels included) must not trip it
+        doc = {
+            "material": {"m_perp": 0.082, "m_par": 1.59, "eps0": 16.0, "n_a": 1e16,
+                         "r_D": 3e-5, "tau_perp0": 1.2e-12, "tau_par0": 9e-13},
+            "valleys": {"preset": "Ge4", "n": 1e16, "theta_K": kelvin},
+            "polarization": [0, 0, 1], "mechanism": "impurity", "regime": "general",
+            "observable": "both",
+            "sweep": {"kind": "omega", "min": 1e10, "max": 1e17, "points": 200, "scale": "log"},
+        }
+        config = mv.parse_config(json.dumps(doc))
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            result = mv.run_sweep(config)
+        assert len(result.rows) == 200
+        assert all(math.isfinite(v) and v >= 0.0 for row in result.rows for v in row[2:4])

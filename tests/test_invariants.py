@@ -10,7 +10,10 @@
   fit the A + B cos^2 law.
 """
 
+import json
 import math
+import re
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -155,3 +158,31 @@ def test_property_sweep_over_documented_domain():
             evaluated[combo] += 1
     # every combination is reached somewhere in the domain, not only refused
     assert min(evaluated.values()) >= 3, evaluated
+
+
+# -- far outside the documented domain ---------------------------------------
+
+DOCS = Path(__file__).resolve().parent.parent / "docs"
+
+
+@pytest.mark.parametrize("mechanism, name, valleys, omega", [
+    # n_i at the top of the double range: the impurity value overflows to inf
+    ("impurity", "config_ge4_spectrum.json",
+     {"preset": "Ge4", "n": 1e308, "theta_K": 300.0}, 1e13),
+    # theta_i at the top: n_i theta_i overflows and the result is nan
+    ("acoustic", "config_si6_hot_polarization.json",
+     {"preset": "Si6", "n": 4e16, "theta_K": 1e308}, 1e12),
+])
+@pytest.mark.parametrize("observable", ["absorption", "emission"])
+def test_non_finite_observable_raises(mechanism, name, valleys, omega, observable):
+    # the public observables raise what run_sweep raises (CLI exit 4), naming
+    # the column and omega, instead of returning inf or nan
+    doc = json.loads((DOCS / name).read_text())
+    doc["valleys"] = valleys
+    doc["material"]["r_D"] = 3e-5
+    config = mv.parse_config(json.dumps(doc))
+    column = "K_per_cm" if observable == "absorption" else "dW_dOmega_cgs"
+    match = f"{column} is (inf|nan) at omega = " + re.escape(f"{omega:.6e}")
+    with pytest.raises(FloatingPointError, match=match):
+        _observable(mechanism, observable, config.valleys, config.material, omega,
+                    config.polarization, "general")

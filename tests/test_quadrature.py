@@ -12,8 +12,10 @@ from multivalley.quadrature import (
     _GAUSS,
     _KRONROD,
     _NODES,
+    _WEIGHTS,
     DEFAULT_QUADRATURE,
     QuadratureSpec,
+    _integrate,
     integrate_spectral,
     integrate_spectral_with_error,
 )
@@ -87,6 +89,89 @@ class TestSpectral:
             assert _KRONROD @ _NODES**k == pytest.approx(exact, abs=1e-15)
             if k <= 13:
                 assert _GAUSS @ _NODES**k == pytest.approx(exact, abs=1e-15)
+
+
+def reference_integrate(g, s, rel_tol=DEFAULT_QUADRATURE.rel_tol):
+    """The rule one s at a time, with the error estimate summed panel by
+    panel in Python: the reference for the batched core."""
+    t_max = math.sqrt(-math.log(rel_tol) + 18.5)
+    t0 = 0.25 * min(max(math.sqrt(s), 1e-8), 1.0)
+    n_geometric = math.ceil(math.log(1.0 / t0) / math.log(1.6))
+    ratio = (1.0 / t0) ** (1.0 / n_geometric)
+    n_tail = math.ceil((t_max - 1.0) / 0.5)
+    tail_width = (t_max - 1.0) / n_tail
+    edges = np.array(
+        [0.0] + [t0 * ratio**k for k in range(n_geometric)]
+        + [1.0 + k * tail_width for k in range(n_tail)] + [t_max]
+    )
+    width = edges[1:] - edges[:-1]
+    t = (edges[:-1] + 0.5 * width)[:, None] + (0.5 * width)[:, None] * _NODES
+    x = t * t
+    f = np.exp(-x) * g(x, s) / np.sqrt(x + s)
+    kronrod, k_minus_g = (f @ _WEIGHTS).T
+    value = float(width @ kronrod)
+    asc = width * (np.abs(f - 0.5 * kronrod[:, None]) @ _KRONROD)
+    diff = width * np.abs(k_minus_g)
+    abserr = 0.0
+    for a, d in zip(asc.tolist(), diff.tolist()):
+        abserr += a * min(1.0, (200.0 * d / a) ** 1.5) if a > 0.0 else d
+    return value, abserr
+
+
+# Integrands of x and s (s broadcasts against x), all bounded and smooth.
+INTEGRANDS = (
+    lambda x, s: 1.0 + 0.0 * x,
+    lambda x, s: x / (1.0 + x + s),
+    lambda x, s: np.cos(x / (1.0 + s)) + 2.0,
+)
+
+
+def batched(s):
+    """_integrate over the INTEGRANDS at every s of ``s``."""
+    return _integrate(lambda x, s: np.array([g(x, s) for g in INTEGRANDS]),
+                      np.asarray(s, dtype=float), DEFAULT_QUADRATURE.rel_tol)
+
+
+# Grid lengths around the pass size: (passes, offset) -> passes * chunk + offset.
+CHUNK_LENGTHS = [(0, 1), (0, 2), (1, -1), (1, 0), (1, 1), (0, 200)]
+
+
+class TestBatchedCore:
+    # s from 1e-9 to 1e5 spans every layout: graded towards sqrt(s) below 1,
+    # fixed from 1 up
+    @pytest.mark.parametrize("passes, offset", CHUNK_LENGTHS)
+    def test_matches_reference_loop(self, chunk, passes, offset):
+        s = np.geomspace(1e-9, 1e5, passes * chunk + offset)
+        values, errors = batched(s)
+        for i, g in enumerate(INTEGRANDS):
+            for j, s_j in enumerate(s.tolist()):
+                value, abserr = reference_integrate(g, s_j)
+                assert values[i, j] == pytest.approx(value, rel=2e-15, abs=0)
+                # estimates near the rounding floor differ by rounding of the value
+                assert errors[i, j] == pytest.approx(abserr, rel=1e-9, abs=1e-16 * abs(value))
+
+    def test_rows_are_independent_of_the_batch(self):
+        # a row's values do not depend on the s it shares a pass with
+        s = np.geomspace(1e-9, 1e5, 200)
+        values, _ = batched(s)
+        for j in (0, 57, 199):
+            np.testing.assert_allclose(values[:, j], batched(s[j:j + 1])[0][:, 0],
+                                       rtol=2e-15, atol=0)
+
+    def test_first_failing_s_in_order_wins(self, chunk):
+        # a jump inside a panel fails the rule; it is switched on for s > 1
+        # only.  s = 0 rows have the widest layout, so the first failing s
+        # sits in the second pass, and two later ones in the second and third.
+        s = np.zeros(3 * chunk)
+        s[chunk + 2], s[chunk + 3], s[2 * chunk + 1] = 3.0, 2.0, 7.0
+
+        def g(x, s):
+            return np.array([x * np.exp(-x), np.where((s > 1.0) & (x > 2.0), 1.0, 0.0)])
+
+        with pytest.raises(QuadratureError, match=r"at s = 3\.000000e\+00") as err:
+            _integrate(g, s, DEFAULT_QUADRATURE.rel_tol)
+        _, expected = reference_integrate(lambda x, s: np.where(x > 2.0, 1.0, 0.0), 3.0)
+        assert err.value.estimate == pytest.approx(expected, rel=1e-6)
 
 
 def _fresh_python(code: str, env: dict) -> str:
