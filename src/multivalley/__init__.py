@@ -2,7 +2,7 @@
 multivalley semiconductors with anisotropic impurity and acoustic scattering.
 
 Absorption coefficients K (cm^-1) and emission intensities dW/dOmega come in
-a general quadrature/Bessel-kernel form valid at any frequency, plus
+a general quadrature form valid at any frequency, plus
 classical and quantum closed-form limits with explicit validity guards.
 Internal units are Gaussian CGS throughout.  The package exports what the
 README's Public API section lists; everything else stays in its module.

@@ -10,19 +10,25 @@ which follows from x = a (cosh t - 1): e^-x = e^a e^{-a cosh t}, and
 int_0^inf e^{-a cosh t} sinh^2 t dt = K1(a)/a gives
 int_0^inf e^-x sqrt(x (x + s)) dx = (s/2) e^{s/2} K1(s/2); differentiating
 in a brings down cosh t = (2x + s)/s and a^3 d/da [K1(a)/a] = -a^2 K2(a).
-The factor e^a is why the kernel enters scaled, as a^2 K2e(a) with
-K2e(a) = e^a K2(a): it keeps each valley's absorption and emission in
-Kirchhoff balance, and K2e never underflows, however cold the electrons.
+The kernel enters scaled, as e^a a^2 K2(a), which keeps each valley's
+absorption and emission in Kirchhoff balance and never underflows.  It is
+half the energy integral, which the spectral quadrature core evaluates with
+g = (2x + s) x (x + s) (:func:`_kernels`).
 
-:func:`_rates` is the general-regime rate core: per valley, the absorption
-rate before stimulated emission for polarization across and along the valley
-axis.  Absorption weighs it with 1 - e^{-s_i}; ``emission`` derives the
-spontaneous emission from the same rates by detailed balance.
+:func:`_rates` is the general-regime rate core: per valley and frequency, the
+absorption rate before stimulated emission across and along the valley axis.
+Absorption weighs it with 1 - e^{-s_i}; ``emission`` derives the spontaneous
+emission from the same rates by detailed balance.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import sys
+from typing import Sequence
+
+import numpy as np
 
 from .constants import C_LIGHT, E_CHARGE, HBAR
 from .errors import RegimeError
@@ -30,7 +36,7 @@ from .geometry import (
     Material, Polarization, Terms, ValleySet, _absorbed, _observe, _populated,
 )
 from .modes import CLASSICAL_S_MAX, QUANTUM_S_MIN, Observable, Regime
-from .special import acoustic_kernel_scaled
+from .quadrature import DEFAULT_QUADRATURE, _integrate
 
 __all__ = [
     "tau_acoustic",
@@ -84,23 +90,57 @@ def check_quantum_acoustic(valleys: ValleySet, omega: float) -> None:
             )
 
 
-def _rates(valleys: ValleySet, material: Material, omega: float) -> Terms:
-    """General-regime rate core: per populated valley, (valley, 1, r_perp, r_par).
+def _pow2(s: np.ndarray) -> np.ndarray:
+    """The power of two that divides max(s, 1) into [1, 2)."""
+    return np.ldexp(0.5, np.frexp(np.maximum(s, 1.0))[1])
 
-    The pair is the valley's absorption coefficient before the
-    stimulated-emission factor 1 - e^{-2 a_i}: the factor
-    (16 sqrt(pi)/3 sqrt(eps0)) (e0^2/c hbar omega^3) times
-    n_i theta_i a_i^2 K2e(a_i) times :func:`_tensor_pair`, through the scaled
-    kernel so that no factor overflows or underflows at large a_i.
+
+def _moment(x: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """g = (2x + s) x (x + s), its two factors of size s divided by
+    :func:`_pow2` (exactly), so that g stays in range for every finite s."""
+    c = _pow2(s)
+    return ((2.0 * x + s) / c * x * ((x + s) / c))[None]
+
+
+def _kernels(s: np.ndarray) -> list[float]:
+    """e^a a^2 K2(a) at every s = 2a of ``s``: half the energy integral, in one
+    quadrature call, unscaled in Python floats, so that a kernel beyond double
+    range (s above ~5e205, or s = inf) is inf without a floating-point trap."""
+    s = np.minimum(s, sys.float_info.max)
+    values = _integrate(_moment, s, DEFAULT_QUADRATURE.rel_tol)[0][0].tolist()
+    return [0.5 * value * c * c for value, c in zip(values, _pow2(s).tolist())]
+
+
+@functools.lru_cache(maxsize=64)
+def _kernel(s: float) -> float:
+    """:func:`_kernels` at one s, memoized: a phi sweep asks for it at every row."""
+    return _kernels(np.array([s]))[0]
+
+
+def _rates(valleys: ValleySet, material: Material, omegas: Sequence[float]) -> list[Terms]:
+    """General-regime rate core: at each omega, per populated valley,
+    (valley, 1, r_perp, r_par): the absorption coefficient before the factor
+    1 - e^{-2 a_i}, (16 sqrt(pi)/3 sqrt(eps0)) (e0^2/c hbar omega^3) times
+    n_i theta_i e^{a_i} a_i^2 K2(a_i) times :func:`_tensor_pair`.  The kernel
+    runs over the grid once per distinct valley temperature, or through the
+    memo :func:`_kernel` at a single frequency.
     """
-    factor = _GENERAL_COEFF * E_CHARGE**2 / (math.sqrt(material.eps0) * C_LIGHT * HBAR * omega**3)
+    populated = _populated(valleys)
     pair_perp, pair_par = _tensor_pair(material)
-    rates = []
-    for v in _populated(valleys):
-        a = HBAR * omega / (2.0 * v.theta)
-        scale = v.n * v.theta * -acoustic_kernel_scaled(a)
-        rates.append((v, 1.0, scale * pair_perp, scale * pair_par))
-    return factor, rates
+    kernels = {
+        theta: [_kernel(HBAR * omegas[0] / theta)] if len(omegas) == 1
+        else _kernels(HBAR * np.asarray(omegas, dtype=float) / theta)
+        for theta in dict.fromkeys(v.theta for v in populated)
+    }
+    terms = []
+    for j, omega in enumerate(omegas):
+        rates = []
+        for v in populated:
+            scale = v.n * v.theta * kernels[v.theta][j]
+            rates.append((v, 1.0, scale * pair_perp, scale * pair_par))
+        factor = _GENERAL_COEFF * E_CHARGE**2 / (math.sqrt(material.eps0) * C_LIGHT * HBAR * omega**3)
+        terms.append((factor, rates))
+    return terms
 
 
 def _classical_absorption(valleys: ValleySet, material: Material, omega: float) -> Terms:
@@ -145,7 +185,7 @@ def absorption_acoustic(
         raise ValueError(f"omega must be positive, got {omega}")
     regime = Regime(regime)
     if regime is Regime.GENERAL:
-        terms = _absorbed(_rates(valleys, material, omega), omega)
+        terms = _absorbed(_rates(valleys, material, [omega])[0], omega)
     elif regime is Regime.CLASSICAL:
         terms = _classical_absorption(valleys, material, omega)
     else:

@@ -122,38 +122,30 @@ def _quantum_acoustic(valleys: ValleySet, material: Material, omega: float) -> T
     ]
 
 
-# What emission projects from: the general rate core, or closed-form absorption.
-# The general impurity rate core, which takes the whole grid, is not listed.
-_SOURCES = {
-    (Mechanism.IMPURITY, Regime.CLASSICAL): impurity._classical_absorption,
-    (Mechanism.IMPURITY, Regime.QUANTUM): impurity._quantum_absorption,
-    (Mechanism.ACOUSTIC, Regime.GENERAL): acoustic._rates,
-    (Mechanism.ACOUSTIC, Regime.CLASSICAL): acoustic._classical_absorption,
-    (Mechanism.ACOUSTIC, Regime.QUANTUM): acoustic._quantum_absorption,
-}
-
-
 def _terms(
     mechanism: Mechanism, regime: Regime, observables: list[Observable],
     valleys: ValleySet, material: Material, omegas: Sequence[float],
 ) -> Iterator[list[Terms]]:
     """Per-valley terms of each observable (ABSORPTION or EMISSION), one list
     per frequency, yielded in grid order.  Both observables project from one
-    evaluation of the source; quantum acoustic emission alone has its own
-    formula.  The general impurity rate core runs over the whole grid before
-    the first yield; every other source runs at each frequency as it is
-    reached, so a closed form's regime guards fail at the first offending
-    frequency."""
+    evaluation of the source, the mechanism module's ``_rates`` or closed-form
+    absorption; quantum acoustic emission alone has its own formula.  The
+    general rate core runs over the whole grid before the first yield; a
+    closed form runs at each frequency as it is reached, so its regime guards
+    fail at the first offending frequency."""
     if (mechanism, regime) == (Mechanism.ACOUSTIC, Regime.QUANTUM):
         forms = {Observable.ABSORPTION: acoustic._quantum_absorption,
                  Observable.EMISSION: _quantum_acoustic}
         for omega in omegas:
             yield [forms[o](valleys, material, omega) for o in observables]
         return
-    if (mechanism, regime) == (Mechanism.IMPURITY, Regime.GENERAL):
-        sources = impurity._rates(valleys, material, omegas)
+    module = impurity if mechanism is Mechanism.IMPURITY else acoustic
+    if regime is Regime.GENERAL:
+        sources = module._rates(valleys, material, omegas)
     else:
-        sources = (_SOURCES[mechanism, regime](valleys, material, omega) for omega in omegas)
+        form = {Regime.CLASSICAL: module._classical_absorption,
+                Regime.QUANTUM: module._quantum_absorption}[regime]
+        sources = (form(valleys, material, omega) for omega in omegas)
     for omega, source in zip(omegas, sources):
         absorbed = _absorbed(source, omega) if regime is Regime.GENERAL else source
         yield [

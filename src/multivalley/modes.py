@@ -1,7 +1,7 @@
 """Mechanism, frequency-regime, and observable selectors.
 
-Regimes are explicit: the caller picks ``general`` (full quadrature or Bessel
-kernel), ``classical`` (hbar*omega well below the electron temperature) or
+Regimes are explicit: the caller picks ``general`` (the spectral quadrature
+core), ``classical`` (hbar*omega well below the electron temperature) or
 ``quantum`` (well above).  Closed forms refuse to evaluate outside their
 validity window; there is no automatic switching.
 """

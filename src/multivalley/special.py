@@ -1,15 +1,14 @@
 """Closed-form kernels: the screened-Coulomb angular factors B1/B2, the
-unscreened polarization function Psi(inf), the Conwell-Weisskopf logarithm,
-and modified Bessel functions K0/K1/K2 of the second kind.
+unscreened polarization function Psi(inf) and the Conwell-Weisskopf
+logarithm.  The screened shape function Psi and the shape parameter b, which
+only the oracles evaluate, live in ``oracles``.
 
-The Bessel functions are scipy's exponentially scaled ``kve`` (Amos'
-algorithm, ACM TOMS 644), with the Hankel asymptotic form beyond x = 1e9,
-where ``kve`` returns nan.  Their accuracy contract, relative error <= 1e-12
-on x in [1e-6, 700], is certified against mpmath's arbitrary-precision K,
-an independent oracle.  Only a^2 K2(a) enters the physics (the acoustic
-kernel), so ``scipy.special`` is imported on the first Bessel evaluation,
-not with this module.  The screened shape function Psi and the shape
-parameter b, which only the oracles evaluate, live in ``oracles``.
+The modified Bessel functions K0/K1/K2 below are on no computational path:
+the acoustic kernel is computed by quadrature, in ``acoustic``.  They serve
+only the benchmark harness in ``perfbench/``, which counts their calls and
+times ``bessel_k2e``, and leave with ROADMAP item 1.  They are scipy's
+scaled ``kve``, imported on the first call, with the Hankel form beyond
+x = 1e9; relative error <= 1e-12 on x in [1e-6, 700] against mpmath.
 """
 
 from __future__ import annotations
@@ -38,8 +37,6 @@ __all__ = [
     "bessel_k0e",
     "bessel_k1e",
     "bessel_k2e",
-    "acoustic_kernel",
-    "acoustic_kernel_scaled",
 ]
 
 
@@ -146,9 +143,7 @@ _KVE_MAX_X = 1e9
 
 @functools.cache
 def _scipy_kve():
-    """scipy's ``kve`` ufunc.  Importing ``scipy.special`` costs more than the
-    rest of ``import multivalley`` together, so it happens on the first call;
-    later calls return the cached ufunc."""
+    """scipy's ``kve`` ufunc, imported on the first call only."""
     from scipy.special import kve
 
     return kve
@@ -196,11 +191,7 @@ def bessel_k0(x: float) -> float:
 
 
 def bessel_k1(x: float) -> float:
-    """Modified Bessel function of the second kind, order 1.
-
-    Behaves as 1/x for x -> 0 and sqrt(pi/(2x)) e^-x for x -> inf; relative
-    accuracy <= 1e-12 over x in [1e-6, 700].
-    """
+    """Modified Bessel function of the second kind, order 1."""
     _check_unscaled_domain(x)
     return bessel_k1e(x) * math.exp(-x)
 
@@ -209,26 +200,3 @@ def bessel_k2(x: float) -> float:
     """Modified Bessel function of the second kind, order 2."""
     _check_unscaled_domain(x)
     return bessel_k2e(x) * math.exp(-x)
-
-
-def acoustic_kernel(a: float) -> float:
-    """a^3 d/da [K1(a)/a], evaluated through the identity
-    d/da [K1(a)/a] = -K2(a)/a, i.e. the kernel equals -a^2 K2(a).
-
-    Negative for every a > 0; tends to -2 as a -> 0.
-    """
-    _check_unscaled_domain(a)
-    return -a * a * bessel_k2(a)
-
-
-# Below this a^2 K2e(a) = 2 + 2a + O(a^2) is 2 in double precision, while
-# a*a underflows and K2e(a) overflows (or a is 0, outside kve's domain).
-_KERNEL_A_MIN = 1e-100
-
-
-def acoustic_kernel_scaled(a: float) -> float:
-    """e^a times :func:`acoustic_kernel`, safe for large a; its a -> 0 limit,
-    -2, below a = 1e-100."""
-    if 0.0 <= a < _KERNEL_A_MIN:
-        return -2.0
-    return -a * a * bessel_k2e(a)

@@ -1,11 +1,13 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
 
 import multivalley as mv
-from multivalley.acoustic import mobility_acoustic, tau_acoustic
+from multivalley import acoustic
+from multivalley.acoustic import _kernel, _kernels, mobility_acoustic, tau_acoustic
 from multivalley.constants import HBAR
 from multivalley.errors import RegimeError
 from multivalley.impurity import mobility_impurity, relaxation_impurity
@@ -117,6 +119,62 @@ class TestAbsorptionAcoustic:
         k_imp = mv.absorption_impurity(single_valley, mat, omega, pol_skew, "classical")
         k_ac = mv.absorption_acoustic(single_valley, mat, omega, pol_skew, "classical")
         assert k_imp / k_ac == pytest.approx(9.0 * math.pi / 64.0, rel=1e-12, abs=0)
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """The s arrays of every quadrature call the acoustic kernel makes, with
+    the single-frequency memo emptied first."""
+    calls = []
+    integrate = acoustic._integrate
+
+    def counting(g, s, rel_tol):
+        calls.append(s.copy())
+        return integrate(g, s, rel_tol)
+
+    monkeypatch.setattr(acoustic, "_integrate", counting)
+    _kernel.cache_clear()
+    yield calls
+    _kernel.cache_clear()
+
+
+def acoustic_config(valleys, sweep):
+    return mv.parse_config(json.dumps({
+        "material": {"m_perp": 0.082, "m_par": 1.59, "eps0": 16.0, "n_a": 1e16,
+                     "r_D": 3e-5, "tau_perp0": 1.2e-12, "tau_par0": 9e-13},
+        "valleys": valleys, "polarization": [1, 0, 0], "mechanism": "acoustic",
+        "regime": "general", "observable": "both", "sweep": sweep,
+    }))
+
+
+class TestKernelReuse:
+    @pytest.mark.parametrize("thetas", [[300.0] * 4, [300.0, 300.0, 710.0, 710.0],
+                                        [150.0, 300.0, 710.0, 2900.0]])
+    def test_phi_sweep_evaluates_each_temperature_once(self, kernel_calls, thetas):
+        config = acoustic_config(
+            {"preset": "Ge4", "n": 1e16, "theta_K": thetas},
+            {"kind": "phi", "min": 0.0, "max": 3.0, "points": 25, "omega": 3.1e13},
+        )
+        mv.run_sweep(config)
+        assert len(kernel_calls) == len(set(thetas))
+        assert all(s.size == 1 for s in kernel_calls)
+        mv.run_sweep(config)  # the same frequency again: the memo answers
+        assert len(kernel_calls) == len(set(thetas))
+
+    def test_omega_sweep_is_batched(self, kernel_calls):
+        config = acoustic_config(
+            {"preset": "Ge4", "n": 1e16, "theta_K": 4.2},
+            {"kind": "omega", "min": 1e10, "max": 1e16, "points": 200},
+        )
+        mv.run_sweep(config)
+        assert [s.size for s in kernel_calls] == [200]
+
+    def test_batch_matches_single_frequency(self):
+        # a row's value does not depend on the pass it shares with other rows
+        s = np.geomspace(1e-9, 4e3, 200)
+        batched = _kernels(s)
+        for s_j, value in zip(s.tolist(), batched):
+            assert value == pytest.approx(_kernels(np.array([s_j]))[0], rel=2e-15, abs=0)
 
 
 class TestMobilityAcoustic:

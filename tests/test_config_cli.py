@@ -5,9 +5,11 @@ import io
 import json
 import math
 import random
+import re
 import subprocess
 import sys
 import traceback
+import warnings
 from pathlib import Path
 
 import pytest
@@ -361,6 +363,40 @@ class TestCli:
         assert f"FloatingPointError: dW_dOmega_cgs is nan at omega = {omega:.6e}" in err
         assert "Traceback" not in err and not out.exists()
 
+    @pytest.mark.parametrize("kind", ["phi", "omega"])
+    def test_vanishing_temperature_exit_four(self, tmp_path, capsys, kind):
+        # theta_K = 1e-300 puts s = hbar omega/theta near 4e302, where the
+        # kernel exceeds double range: the non-finite cells are a numerical
+        # error naming column and omega, with no numpy overflow trap instead
+        doc = json.loads((DOCS / "config_si6_hot_polarization.json").read_text())
+        doc["valleys"]["theta_K"] = 1e-300
+        doc["material"]["r_D"] = 3e-5
+        if kind == "phi":
+            doc["sweep"].update(points=3)
+        else:
+            doc["sweep"] = {"kind": "omega", "min": 5e13, "max": 1e14, "points": 3}
+        cfg, out = self.write_config(tmp_path, doc), tmp_path / "x.csv"
+        assert cli.main(["--config", cfg, "--output", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert "FloatingPointError: dW_dOmega_cgs is nan at omega = 5.000000e+13" in err
+        assert "Traceback" not in err and not out.exists()
+
+    @pytest.mark.parametrize("theta_K,omega", [(1e-300, 5e13), (1e-307, 1e100)],
+                             ids=["huge-s", "s-overflows"])
+    def test_vanishing_temperature_library_raises(self, theta_K, omega):
+        doc = json.loads((DOCS / "config_si6_hot_polarization.json").read_text())
+        doc["valleys"]["theta_K"] = theta_K
+        doc["material"]["r_D"] = 3e-5
+        config = parse_config(json.dumps(doc))
+        args = (config.valleys, config.material, omega, config.polarization)
+        where = f"is nan at omega = {omega:.6e} rad/s"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError, match=re.escape(f"K_per_cm {where}")):
+                mv.absorption_acoustic(*args)
+            with pytest.raises(FloatingPointError, match=re.escape(f"dW_dOmega_cgs {where}")):
+                mv.emission_acoustic(*args)
+
     def test_integer_beyond_double_range_exit_two(self, tmp_path, capsys):
         doc = base_config()
         doc["material"]["n_a"] = 10**400  # a JSON integer float() cannot hold
@@ -452,11 +488,32 @@ DOCS = Path(__file__).resolve().parent.parent / "docs"
 
 @pytest.mark.parametrize("name", ["config_ge4_spectrum.json", "config_si6_hot_polarization.json"])
 def test_cli_process_matches_in_process_csv(tmp_path, checkout_env, name):
-    # the Si6 config is acoustic general: its process loads scipy.special on first use
+    # the Si6 config is acoustic general, the Ge4 config impurity general
     out = tmp_path / "cli.csv"
     proc = subprocess.run(
         [sys.executable, "-m", "multivalley.cli", "--config", str(DOCS / name),
          "--output", str(out)],
+        env=checkout_env, cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    expected = tmp_path / "in_process.csv"
+    write_csv(run_sweep(parse_config((DOCS / name).read_text())), str(expected))
+    assert out.read_bytes() == expected.read_bytes()
+
+
+@pytest.mark.parametrize("name", ["config_ge4_spectrum.json", "config_si6_hot_polarization.json"])
+def test_cli_runs_without_scipy(tmp_path, checkout_env, name):
+    # scipy is a test dependency only: with every scipy import made to fail,
+    # the CLI still writes the same bytes
+    out = tmp_path / "cli.csv"
+    code = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from multivalley.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "--config", str(DOCS / name), "--output", str(out)],
         env=checkout_env, cwd=tmp_path, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr

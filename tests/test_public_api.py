@@ -23,8 +23,8 @@ DROPPED = {
     "quadrature": ["DEFAULT_QUADRATURE", "QuadratureSpec", "integrate_spectral"],
     "impurity": ["RelaxationTensor", "mobility_impurity", "p_minus", "p_plus",
                  "relaxation_impurity", "x_min"],
-    "special": ["acoustic_kernel", "bessel_k0", "bessel_k1", "bessel_k2", "coulomb_log",
-                "psi_infinity", "shape_b1", "shape_b2"],
+    "special": ["bessel_k0", "bessel_k1", "bessel_k2", "coulomb_log", "psi_infinity",
+                "shape_b1", "shape_b2"],
     "geometry": ["cos_phi", "debye_radius", "incident_flux"],
     "acoustic": ["mobility_acoustic", "tau_acoustic"],
     "emission": ["mode_density", "photon_amplitude"],

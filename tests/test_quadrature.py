@@ -188,8 +188,8 @@ class TestImportPath:
         assert _fresh_python(code, checkout_env) == "False"
 
     def test_scipy_not_imported(self, checkout_env):
-        # scipy.special loads on the first Bessel call; the heavy modules it
-        # pulls in must not load with the package or the CLI
+        # scipy is a test dependency only; neither it nor the other heavy
+        # modules may load with the package or the CLI
         code = (
             "import sys, multivalley, multivalley.cli\n"
             "heavy = ('scipy', 'concurrent.futures', 'unittest', 'numpy.testing')\n"
@@ -197,19 +197,22 @@ class TestImportPath:
         )
         assert _fresh_python(code, checkout_env) == "[]"
 
-    def test_first_bessel_call_loads_scipy_special(self, checkout_env, ge_material,
-                                                   single_valley, pol_skew):
-        # the dataclass reprs rebuild the same objects, floats bit for bit
+    def test_acoustic_general_loads_no_scipy(self, checkout_env, ge_material,
+                                            single_valley, pol_skew):
+        # the acoustic kernel comes from the quadrature core, not from Bessel
+        # functions; the dataclass reprs rebuild the same objects, floats bit for bit
         args = (single_valley, ge_material, 3.0e13, pol_skew, "general")
         code = (
             "import sys\n"
-            "from multivalley import Material, Polarization, Valley, ValleySet, absorption_acoustic\n"
-            "before = 'scipy.special' in sys.modules\n"
-            f"value = absorption_acoustic{args!r}\n"
-            "print(before, 'scipy.special' in sys.modules, repr(value))"
+            "from multivalley import (Material, Polarization, Valley, ValleySet,\n"
+            "                         absorption_acoustic, emission_acoustic)\n"
+            f"k = absorption_acoustic{args!r}\n"
+            f"w = emission_acoustic{args!r}.dW_dOmega\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), repr(k), repr(w))"
         )
-        expected = repr(mv.absorption_acoustic(*args))
-        assert _fresh_python(code, checkout_env).split() == ["False", "True", expected]
+        expected = [repr(mv.absorption_acoustic(*args)),
+                    repr(mv.emission_acoustic(*args).dW_dOmega)]
+        assert _fresh_python(code, checkout_env).split() == ["[]", *expected]
 
 
 class TestUnitSphere:

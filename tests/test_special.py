@@ -5,13 +5,12 @@ import numpy as np
 import pytest
 
 import multivalley as mv
+from multivalley.acoustic import _kernel
 from multivalley.constants import EULER_GAMMA
 from multivalley.errors import RegimeError
 from multivalley.oracles import b_param, psi
 from multivalley.special import (
     _shape_b12,
-    acoustic_kernel,
-    acoustic_kernel_scaled,
     bessel_k0,
     bessel_k0e,
     bessel_k1,
@@ -237,16 +236,27 @@ class TestBesselK:
         )
 
 
+def mp_kernel(a: float):
+    """e^a a^2 K2(a) in arbitrary precision; its a -> 0 limit is 2."""
+    if a == 0.0:
+        return mp.mpf(2)
+    return mp.mpf(a) ** 2 * mp.exp(a) * mp.besselk(2, mp.mpf(a))
+
+
 class TestAcousticKernel:
+    # The kernel of the acoustic rate core, e^a a^2 K2(a), as a function of
+    # s = 2a; e^-a times it is -a^3 d/da [K1(a)/a] = a^2 K2(a).
+
     def test_small_argument_limit(self):
-        assert acoustic_kernel(1e-4) == pytest.approx(-2.0, rel=1e-4)
+        a = 1e-4
+        assert _kernel(2.0 * a) * math.exp(-a) == pytest.approx(2.0, rel=1e-4)
 
     def test_reference_value(self):
-        assert acoustic_kernel(1.0) == pytest.approx(-1.6248388986351775, rel=1e-12)
+        assert _kernel(2.0) * math.exp(-1.0) == pytest.approx(1.6248388986351775, rel=1e-12)
 
-    def test_negative_everywhere(self):
-        for a in np.geomspace(0.01, 20.0, 25):
-            assert acoustic_kernel(float(a)) < 0.0
+    def test_positive_everywhere(self):
+        for a in np.geomspace(1e-12, 1e6, 25):
+            assert _kernel(2.0 * float(a)) > 0.0
 
     def test_matches_central_difference(self):
         # independent route: numerically differentiate K1(a)/a
@@ -255,24 +265,27 @@ class TestAcousticKernel:
             h = a * 1e-5
             ratio = lambda t: bessel_k1(t) / t
             derivative = (ratio(a + h) - ratio(a - h)) / (2.0 * h)
-            assert acoustic_kernel(a) == pytest.approx(a**3 * derivative, rel=1e-6, abs=0)
+            assert -_kernel(2.0 * a) * math.exp(-a) == pytest.approx(
+                a**3 * derivative, rel=1e-6, abs=0
+            )
 
     def test_scaled_vanishing_argument_limit(self):
-        # below a = 1e-100, a*a underflows while K2e(a) overflows (or a = 0):
-        # the exact limit a^2 K2e(a) -> 2 instead; from 1e-100 up, the formula
-        for a in (0.0, 1e-300, 1e-120):
-            assert acoustic_kernel_scaled(a) == -2.0
-        assert acoustic_kernel_scaled(1e-100) == -1e-100 * 1e-100 * bessel_k2e(1e-100)
+        # a*a underflows and K2(a) overflows here, or a is 0: the quadrature
+        # form has neither problem and meets the limit 2 + 2a + O(a^2)
+        for a in (0.0, 1e-300, 1e-120, 1e-100):
+            assert _kernel(2.0 * a) == pytest.approx(float(mp_kernel(a)), rel=1e-13, abs=0)
 
     def test_scaled_against_mpmath(self):
-        # the kernel the acoustic rate core uses, far beyond the unscaled domain
-        for a in np.geomspace(1e-6, 1e5, 80):
+        # the kernel the acoustic rate core uses, far beyond the unscaled
+        # domain: a > 700 is reached by cold acoustic sweeps
+        grid = np.geomspace(1e-12, 1e6, 80)
+        assert (grid > 700.0).any()
+        for a in grid:
             a = float(a)
-            ref = float(-mp.mpf(a) ** 2 * mp.exp(a) * mp.besselk(2, mp.mpf(a)))
-            assert acoustic_kernel_scaled(a) == pytest.approx(ref, rel=1e-13, abs=0)
+            assert _kernel(2.0 * a) == pytest.approx(float(mp_kernel(a)), rel=1e-13, abs=0)
 
     def test_scaled_consistency(self):
         for a in (0.3, 2.0, 15.0):
-            assert acoustic_kernel_scaled(a) * math.exp(-a) == pytest.approx(
-                acoustic_kernel(a), rel=1e-13, abs=0
+            assert _kernel(2.0 * a) * math.exp(-a) == pytest.approx(
+                a * a * bessel_k2(a), rel=1e-13, abs=0
             )
