@@ -33,7 +33,7 @@ import numpy as np
 from .constants import C_LIGHT, E_CHARGE, HBAR
 from .errors import RegimeError
 from .geometry import (
-    Material, Polarization, Terms, ValleySet, _absorbed, _observe, _populated,
+    Material, Polarization, Terms, ValleySet, _absorbed, _observe, _populated, check_omega,
 )
 from .modes import CLASSICAL_S_MAX, QUANTUM_S_MIN, Observable, Regime
 from .quadrature import DEFAULT_QUADRATURE, _integrate
@@ -180,9 +180,9 @@ def absorption_acoustic(
                law with no exponential cut.
 
     {weight} = (1 - cos^2 phi_i)/(m_perp tau_perp0) + cos^2 phi_i/(m_par tau_par0).
+    omega outside [1e-50, 1e100] rad/s raises ConfigError (:func:`geometry.check_omega`).
     """
-    if not omega > 0.0:
-        raise ValueError(f"omega must be positive, got {omega}")
+    check_omega(omega)
     regime = Regime(regime)
     if regime is Regime.GENERAL:
         terms = _absorbed(_rates(valleys, material, [omega])[0], omega)

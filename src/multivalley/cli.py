@@ -25,6 +25,13 @@ EXIT_CONFIG = 2
 EXIT_REGIME = 3
 EXIT_NUMERIC = 4
 
+# The selector flags, each overriding the config key of its name.
+_SELECTORS = {
+    "observable": (Observable, "observable"),
+    "mechanism": (Mechanism, "scattering mechanism"),
+    "regime": (Regime, "frequency regime"),
+}
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -37,21 +44,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", required=True, help="path to the JSON run config")
     parser.add_argument("--output", help="CSV output path (overrides config)")
-    parser.add_argument(
-        "--observable",
-        choices=[o.value for o in Observable],
-        help="override the config observable",
-    )
-    parser.add_argument(
-        "--mechanism",
-        choices=[m.value for m in Mechanism],
-        help="override the config scattering mechanism",
-    )
-    parser.add_argument(
-        "--regime",
-        choices=[r.value for r in Regime],
-        help="override the config frequency regime",
-    )
+    for key, (selector, what) in _SELECTORS.items():
+        parser.add_argument(
+            f"--{key}",
+            choices=[member.value for member in selector],
+            help=f"override the config {what}",
+        )
     parser.add_argument(
         "--workers",
         type=int,
@@ -65,12 +63,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         with open(args.config) as handle:
             config = parse_config(handle.read())
-        if args.observable:
-            config = replace(config, observable=Observable(args.observable))
-        if args.mechanism:
-            config = replace(config, mechanism=Mechanism(args.mechanism))
-        if args.regime:
-            config = replace(config, regime=Regime(args.regime))
+        for key, (selector, _) in _SELECTORS.items():
+            if getattr(args, key):
+                config = replace(config, **{key: selector(getattr(args, key))})
         if args.workers is not None:
             if args.workers < 1:
                 raise ConfigError(f"--workers must be >= 1, got {args.workers}")

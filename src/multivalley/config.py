@@ -16,14 +16,16 @@ changes neither values nor bytes.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 from dataclasses import dataclass, replace
+from enum import Enum
 from typing import Iterator
 
 import numpy as np
 
-from .constants import ERG_PER_EV, HBAR, theta_from_kelvin
+from .constants import ERG_PER_EV, HBAR, theta_from_ev, theta_from_kelvin
 from .emission import _terms
 from .errors import ConfigError
 from .geometry import (
@@ -33,7 +35,9 @@ from .geometry import (
     Terms,
     ValleySet,
     _COLUMNS,
+    _as_unit_tuple,
     _observe,
+    check_omega,
     debye_radius,
     load_preset,
 )
@@ -83,7 +87,7 @@ def _require(doc: dict, key: str, path: str):
     return doc[key]
 
 
-def _number(value, path: str, positive: bool = True) -> float:
+def _number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {value!r}")
     try:
@@ -92,60 +96,66 @@ def _number(value, path: str, positive: bool = True) -> float:
         raise ConfigError(f"{path}: integer too large for a double") from None
     if not math.isfinite(value):
         raise ConfigError(f"{path}: must be finite, got {value}")
-    if positive and not value > 0.0:
-        raise ConfigError(f"{path}: must be positive, got {value}")
     return value
 
 
 def _vector(value, path: str) -> tuple[float, float, float]:
     if not isinstance(value, list) or len(value) != 3:
         raise ConfigError(f"{path}: expected a 3-vector")
-    return tuple(_number(v, f"{path}[{i}]", positive=False) for i, v in enumerate(value))
+    return tuple(_number(v, f"{path}[{i}]") for i, v in enumerate(value))
 
 
-def _theta_erg(doc: dict, path: str) -> float:
-    has_k = "theta_K" in doc
-    has_ev = "theta_eV" in doc
-    if has_k == has_ev:
-        raise ConfigError(f"{path}: give exactly one of theta_K or theta_eV")
-    if has_k:
-        return theta_from_kelvin(_number(doc["theta_K"], f"{path}.theta_K"))
-    return _number(doc["theta_eV"], f"{path}.theta_eV") * ERG_PER_EV
-
-
-def _scalar_or_list(value, count: int, path: str) -> list[float]:
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return [_number(value, path, positive=False)] * count
-    if isinstance(value, list):
+def _numbers(value, path: str, count: int | None = None) -> list[float]:
+    """A number, as a one-entry list; with a ``count``, a number for every
+    entry or a list of ``count`` numbers."""
+    if count is not None and isinstance(value, list):
         if len(value) != count:
             raise ConfigError(f"{path}: expected 1 or {count} entries, got {len(value)}")
-        return [_number(v, f"{path}[{i}]", positive=False) for i, v in enumerate(value)]
-    raise ConfigError(f"{path}: expected a number or a list of numbers")
+        return [_number(v, f"{path}[{i}]") for i, v in enumerate(value)]
+    return [_number(value, path)] * (count or 1)
+
+
+@contextlib.contextmanager
+def _located(path: str) -> Iterator[None]:
+    """Prefix a data-model refusal (ConfigError) with the config path it came from."""
+    try:
+        yield
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def _parse_material(doc: dict) -> Material:
     path = "material"
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: expected an object")
-    m_perp = _number(_require(doc, "m_perp", path), f"{path}.m_perp")
-    m_par = _number(_require(doc, "m_par", path), f"{path}.m_par")
-    if m_par <= m_perp:
+    fields = {
+        key: _number(_require(doc, key, path), f"{path}.{key}")
+        for key in ("m_perp", "m_par", "eps0", "n_a", "tau_perp0", "tau_par0")
+    }
+    m_perp, m_par = fields.pop("m_perp"), fields.pop("m_par")
+    if not 0.0 < m_perp < m_par:  # in the config's units, which Material does not know
         raise ConfigError(
-            f"{path}.m_par ({m_par}) must exceed {path}.m_perp ({m_perp}): "
-            "prolate valleys required"
+            f"{path}.m_par ({m_par}) must exceed {path}.m_perp ({m_perp}), which must be "
+            "positive: prolate valleys required"
         )
-    r_d = None
-    if "r_D" in doc and doc["r_D"] is not None:
-        r_d = _number(doc["r_D"], f"{path}.r_D")
-    return Material.from_units(
-        m_perp_me=m_perp,
-        m_par_me=m_par,
-        eps0=_number(_require(doc, "eps0", path), f"{path}.eps0"),
-        n_a=_number(_require(doc, "n_a", path), f"{path}.n_a"),
-        tau_perp0=_number(_require(doc, "tau_perp0", path), f"{path}.tau_perp0"),
-        tau_par0=_number(_require(doc, "tau_par0", path), f"{path}.tau_par0"),
-        r_D=r_d,
-    )
+    r_d = None if doc.get("r_D") is None else _number(doc["r_D"], f"{path}.r_D")
+    with _located(path):
+        return Material.from_units(m_perp_me=m_perp, m_par_me=m_par, r_D=r_d, **fields)
+
+
+def _valleys(doc: dict, path: str, axes: list, lists: bool = False) -> list[Valley]:
+    """The valleys along ``axes``, populated by ``doc``'s ``n`` and one of
+    ``theta_K`` or ``theta_eV``: numbers, or if ``lists`` also lists of one
+    number per axis.  Their ranges are the Valley's to check."""
+    count = len(axes) if lists else None
+    ns = _numbers(_require(doc, "n", path), f"{path}.n", count)
+    if ("theta_K" in doc) == ("theta_eV" in doc):
+        raise ConfigError(f"{path}: give exactly one of theta_K or theta_eV")
+    key = "theta_K" if "theta_K" in doc else "theta_eV"
+    to_erg = theta_from_kelvin if key == "theta_K" else theta_from_ev
+    thetas = [to_erg(t) for t in _numbers(doc[key], f"{path}.{key}", count)]
+    with _located(path):
+        return [Valley(axis=a, n=n, theta=t) for a, n, t in zip(axes, ns, thetas)]
 
 
 def _parse_valleys(doc) -> ValleySet:
@@ -154,21 +164,8 @@ def _parse_valleys(doc) -> ValleySet:
         preset = _require(doc, "preset", path)
         if not isinstance(preset, str):
             raise ConfigError(f"{path}.preset: expected a preset name, got {preset!r}")
-        base = load_preset(preset)
-        count = len(base)
-        ns = _scalar_or_list(_require(doc, "n", path), count, f"{path}.n")
-        for i, n in enumerate(ns):
-            if n < 0.0:
-                raise ConfigError(f"{path}.n[{i}]: must be >= 0, got {n}")
-        if ("theta_K" in doc) == ("theta_eV" in doc):
-            raise ConfigError(f"{path}: give exactly one of theta_K or theta_eV")
-        key = "theta_K" if "theta_K" in doc else "theta_eV"
-        raw = _scalar_or_list(doc[key], count, f"{path}.{key}")
-        if key == "theta_K":
-            thetas = [theta_from_kelvin(t) for t in raw]
-        else:
-            thetas = [t * ERG_PER_EV for t in raw]
-        return base.with_population(ns, thetas)
+        axes = [v.axis for v in load_preset(preset)]
+        return ValleySet(tuple(_valleys(doc, path, axes, lists=True)))
     if isinstance(doc, list):
         if not doc:
             raise ConfigError(f"{path}: at least one valley required")
@@ -178,22 +175,10 @@ def _parse_valleys(doc) -> ValleySet:
             if not isinstance(entry, dict):
                 raise ConfigError(f"{vpath}: expected an object")
             axis = _vector(_require(entry, "axis", vpath), f"{vpath}.axis")
-            n = _number(_require(entry, "n", vpath), f"{vpath}.n", positive=False)
-            if n < 0.0:
-                raise ConfigError(f"{vpath}.n: must be >= 0, got {n}")
-            theta = _theta_erg(entry, vpath)
-            norm = math.hypot(*axis)
-            if not 0.0 < norm < math.inf:
-                raise ConfigError(f"{vpath}.axis: must be a non-zero vector of finite length")
-            unit = tuple(a / norm for a in axis)
-            valleys.append(Valley(axis=unit, n=n, theta=theta))
+            valleys += _valleys(entry, vpath, [_as_unit_tuple(axis, f"{vpath}.axis")])
         return ValleySet(tuple(valleys))
     raise ConfigError(f"{path}: expected a preset object or a list of valleys")
 
-
-# omega^3 enters the prefactors: it overflows double precision above ~5.6e102,
-# and the Kirchhoff factor hbar omega^3 of emission underflows below ~1e-86.
-_OMEGA_MIN, _OMEGA_MAX = 1e-50, 1e100
 
 # The grid and every row of a sweep are held in memory at once.
 _MAX_SWEEP_POINTS = 1_000_000
@@ -206,8 +191,8 @@ def _parse_sweep(doc: dict) -> SweepSpec:
     kind = _require(doc, "kind", path)
     if kind not in ("omega", "phi"):
         raise ConfigError(f"{path}.kind: expected 'omega' or 'phi', got {kind!r}")
-    minimum = _number(_require(doc, "min", path), f"{path}.min", positive=(kind == "omega"))
-    maximum = _number(_require(doc, "max", path), f"{path}.max", positive=(kind == "omega"))
+    minimum = _number(_require(doc, "min", path), f"{path}.min")
+    maximum = _number(_require(doc, "max", path), f"{path}.max")
     if not maximum > minimum:
         raise ConfigError(f"{path}: max ({maximum}) must exceed min ({minimum})")
     points = _require(doc, "points", path)
@@ -240,11 +225,7 @@ def _parse_sweep(doc: dict) -> SweepSpec:
         plane = (e1, e2)
     ends = (("min", minimum), ("max", maximum)) if kind == "omega" else (("omega", omega),)
     for key, value in ends:
-        if not _OMEGA_MIN <= value <= _OMEGA_MAX:
-            raise ConfigError(
-                f"{path}.{key}: {value:g} rad/s is outside [{_OMEGA_MIN:g}, {_OMEGA_MAX:g}], "
-                "where omega^3 underflows or overflows double precision"
-            )
+        check_omega(value, f"{path}.{key}")
     return SweepSpec(
         kind=kind,
         minimum=minimum,
@@ -256,12 +237,26 @@ def _parse_sweep(doc: dict) -> SweepSpec:
     )
 
 
+def _choice(doc: dict, key: str, default: Enum) -> Enum:
+    """The member of ``default``'s selector named by ``doc[key]``, or ``default``."""
+    selector = type(default)
+    try:
+        return selector(doc.get(key, default.value))
+    except ValueError:
+        *names, last = (repr(member.value) for member in selector)
+        raise ConfigError(
+            f"{key}: expected {', '.join(names)} or {last}, got {doc.get(key)!r}"
+        ) from None
+
+
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a JSON config document into internal CGS units.
 
-    Raises ConfigError with the offending field path on any schema, unit or
-    mass-ordering violation.  A missing material.r_D is filled from the total
-    electron concentration via the Debye formula.
+    Raises ConfigError with the offending field path on any schema or
+    mass-ordering violation, and on any value the data model refuses (a
+    Valley, the Material, or a frequency outside ``geometry.check_omega``'s
+    range).  A missing material.r_D is filled from the total electron
+    concentration via the Debye formula.
     """
     try:
         doc = json.loads(text)
@@ -278,26 +273,9 @@ def parse_config(text: str) -> RunConfig:
 
     sweep = _parse_sweep(_require(doc, "sweep", "config"))
 
-    try:
-        mechanism = Mechanism(doc.get("mechanism", "impurity"))
-    except ValueError:
-        raise ConfigError(
-            f"mechanism: expected 'impurity' or 'acoustic', got {doc.get('mechanism')!r}"
-        ) from None
-    try:
-        regime = Regime(doc.get("regime", "general"))
-    except ValueError:
-        raise ConfigError(
-            f"regime: expected 'general', 'classical' or 'quantum', "
-            f"got {doc.get('regime')!r}"
-        ) from None
-    try:
-        observable = Observable(doc.get("observable", "absorption"))
-    except ValueError:
-        raise ConfigError(
-            f"observable: expected 'absorption', 'emission' or 'both', "
-            f"got {doc.get('observable')!r}"
-        ) from None
+    mechanism = _choice(doc, "mechanism", Mechanism.IMPURITY)
+    regime = _choice(doc, "regime", Regime.GENERAL)
+    observable = _choice(doc, "observable", Observable.ABSORPTION)
 
     workers = doc.get("workers", 1)
     if not isinstance(workers, int) or isinstance(workers, bool) or workers < 1:

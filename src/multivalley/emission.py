@@ -37,6 +37,7 @@ from . import acoustic, impurity
 from .constants import C_LIGHT, E_CHARGE, HBAR
 from .geometry import (
     Material, Polarization, Terms, ValleySet, _absorbed, _observe, _populated, _weighted,
+    check_omega,
 )
 
 # Re-exported: perfbench/tracing.py looks p_plus up in this module.
@@ -158,8 +159,7 @@ def _emission(
     mechanism: Mechanism, valleys: ValleySet, material: Material, omega: float,
     pol: Polarization, regime: Regime | str,
 ) -> EmissionResult:
-    if not omega > 0.0:
-        raise ValueError(f"omega must be positive, got {omega}")
+    check_omega(omega)
     regime = Regime(regime)
     ((terms,),) = _terms(mechanism, regime, [Observable.EMISSION], valleys, material, [omega])
     return EmissionResult(
@@ -183,6 +183,8 @@ def emission_impurity(
     classical: K_i theta_i/(hbar omega), flat in omega.
     quantum:   K_i e^{-hbar omega/theta_i}, a (hbar omega)^{-1/2}
                e^{-hbar omega/theta_i} law, unscreened.
+
+    omega outside [1e-50, 1e100] rad/s raises ConfigError (:func:`geometry.check_omega`).
     """
     return _emission(Mechanism.IMPURITY, valleys, material, omega, pol, regime)
 
@@ -204,5 +206,7 @@ def emission_acoustic(
     quantum:   (e0^2/6 pi^2 c^3) sum_i (n_i/sqrt(theta_i)) (hbar omega)^{3/2}
                e^{-hbar omega/theta_i} {weight}, not Kirchhoff's image of
                quantum absorption (see ``_quantum_acoustic``)
+
+    omega outside [1e-50, 1e100] rad/s raises ConfigError (:func:`geometry.check_omega`).
     """
     return _emission(Mechanism.ACOUSTIC, valleys, material, omega, pol, regime)

@@ -37,12 +37,31 @@ __all__ = [
     "Polarization",
     "PRESET_AXES",
     "load_preset",
+    "OMEGA_MIN",
+    "OMEGA_MAX",
+    "check_omega",
     "cos_phi",
     "debye_radius",
     "incident_flux",
 ]
 
 _UNIT_NORM_TOL = 1e-12
+
+# omega^3 enters the prefactors: it overflows double precision above ~5.6e102,
+# and the Kirchhoff factor hbar omega^3 of emission underflows below ~1e-86.
+OMEGA_MIN, OMEGA_MAX = 1e-50, 1e100
+
+
+def check_omega(omega: float, name: str = "omega") -> None:
+    """Raise ConfigError, naming ``name``, unless OMEGA_MIN <= omega <= OMEGA_MAX
+    (rad/s): the one frequency domain of the config sweeps and the public
+    observables.  NaN and infinities fall outside it; so does omega <= 0,
+    and ConfigError is a ValueError."""
+    if not OMEGA_MIN <= omega <= OMEGA_MAX:
+        raise ConfigError(
+            f"{name}: {omega:g} rad/s is outside [{OMEGA_MIN:g}, {OMEGA_MAX:g}], "
+            "where omega^3 underflows or overflows double precision"
+        )
 
 
 def _check_unit(vec: tuple[float, float, float], name: str) -> None:
@@ -90,21 +109,21 @@ class Material:
     r_D: float | None = None
 
     def __post_init__(self) -> None:
-        if not self.m_perp > 0.0:
-            raise ConfigError(f"m_perp must be positive, got {self.m_perp}")
-        if not self.m_par > self.m_perp:
+        if not 0.0 < self.m_perp < math.inf:
+            raise ConfigError(f"m_perp must be positive and finite, got {self.m_perp}")
+        if not self.m_perp < self.m_par < math.inf:
             raise ConfigError(
-                f"m_par ({self.m_par!r}) must exceed m_perp ({self.m_perp!r}): "
+                f"m_par ({self.m_par!r}) must be finite and exceed m_perp ({self.m_perp!r}): "
                 "oblate valleys are outside this model's domain"
             )
-        if self.eps0 < 1.0:
-            raise ConfigError(f"eps0 must be >= 1, got {self.eps0}")
-        if not self.n_a > 0.0:
-            raise ConfigError(f"n_a must be positive, got {self.n_a}")
-        if self.r_D is not None and not self.r_D > 0.0:
-            raise ConfigError(f"r_D must be positive, got {self.r_D}")
-        if not self.tau_perp0 > 0.0 or not self.tau_par0 > 0.0:
-            raise ConfigError("tau_perp0 and tau_par0 must be positive")
+        if not 1.0 <= self.eps0 < math.inf:
+            raise ConfigError(f"eps0 must be >= 1 and finite, got {self.eps0}")
+        if not 0.0 < self.n_a < math.inf:
+            raise ConfigError(f"n_a must be positive and finite, got {self.n_a}")
+        if self.r_D is not None and not 0.0 < self.r_D < math.inf:
+            raise ConfigError(f"r_D must be positive and finite, got {self.r_D}")
+        if not (0.0 < self.tau_perp0 < math.inf and 0.0 < self.tau_par0 < math.inf):
+            raise ConfigError("tau_perp0 and tau_par0 must be positive and finite")
 
     @classmethod
     def from_units(
@@ -155,10 +174,10 @@ class Valley:
 
     def __post_init__(self) -> None:
         _check_unit(self.axis, "axis")
-        if self.n < 0.0:
-            raise ConfigError(f"valley concentration must be >= 0, got {self.n}")
-        if not self.theta > 0.0:
-            raise ConfigError(f"valley temperature must be positive, got {self.theta}")
+        if not 0.0 <= self.n < math.inf:
+            raise ConfigError(f"valley concentration must be >= 0 and finite, got {self.n}")
+        if not 0.0 < self.theta < math.inf:
+            raise ConfigError(f"valley temperature must be positive and finite, got {self.theta}")
 
     @classmethod
     def from_units(
@@ -352,6 +371,5 @@ def incident_flux(omega: float, A0: float, eps0: float) -> float:
     omega in rad/s, A0 the vector-potential amplitude; result in
     erg cm^-2 s^-1.
     """
-    if not omega > 0.0:
-        raise ValueError(f"omega must be positive, got {omega}")
+    check_omega(omega)
     return math.sqrt(eps0) / (8.0 * math.pi) * omega**2 / C_LIGHT * A0**2

@@ -37,6 +37,7 @@ from .geometry import (
     _observe,
     _populated,
     _project,
+    check_omega,
     incident_flux,
 )
 from .modes import (
@@ -48,7 +49,7 @@ from .modes import (
     Regime,
 )
 from .quadrature import DEFAULT_QUADRATURE, _integrate
-from .special import _shape_b12, coulomb_log, psi_infinity
+from .special import _shape_b12, coulomb_log, shape_b1, shape_b2
 
 __all__ = [
     "RelaxationTensor",
@@ -121,9 +122,9 @@ def _endpoints(material: Material, theta: float, omegas: Sequence[float]) -> np.
     inv_rd_sq = 1.0 / (r_D * r_D)
 
     def sums(x: np.ndarray, s: np.ndarray) -> np.ndarray:
-        root_x = np.sqrt(x)
-        root_xs = np.sqrt(x + s)
-        q = kappa * np.array((root_xs + root_x, root_xs - root_x))
+        roots = np.sqrt(x + s) + np.sqrt(x)
+        # q_min = kappa (sqrt(x+s) - sqrt(x)), rationalized: no cancellation at tiny s
+        q = kappa * np.array((roots, s / roots))
         b1, b2 = _shape_b12(np.sqrt(b0_sq * (1.0 + inv_rd_sq / (q * q))))
         return np.array((b1[0] + b1[1], b2[0] + b2[1]))
 
@@ -165,18 +166,14 @@ def _rates(valleys: ValleySet, material: Material, omegas: Sequence[float]) -> l
         for theta in dict.fromkeys(v.theta for v in populated)
     }
     coeff = _GENERAL_COEFF * _collision_scale(material)
+    twice_ratio = 2.0 * (material.m_perp / material.m_par)
     terms = []
     for j, omega in enumerate(omegas):
         rates = []
         for v in populated:
-            pair = endpoints[v.theta][j]
+            i1, i2 = endpoints[v.theta][j]
             scale = v.n / math.sqrt(v.theta)
-            rates.append((
-                v,
-                1.0,
-                scale * combine_endpoints(pair, 0.0, material),
-                scale * combine_endpoints(pair, 1.0, material),
-            ))
+            rates.append((v, 1.0, scale * i1, scale * (twice_ratio * i2)))
         terms.append((coeff / (HBAR * omega**3), rates))
     return terms
 
@@ -191,8 +188,7 @@ def p_plus(
     """Power absorbed per unit volume by one valley (erg s^-1 cm^-3): its
     rate before the stimulated-emission factor times the incident flux of a
     wave of amplitude A0."""
-    if not omega > 0.0:
-        raise ValueError(f"omega must be positive, got {omega}")
+    check_omega(omega)
     factor, rates = _rates(ValleySet((valley,)), material, [omega])[0]
     return _project((factor * incident_flux(omega, A0, material.eps0), rates), pol)
 
@@ -264,7 +260,8 @@ def _quantum_absorption(valleys: ValleySet, material: Material, omega: float) ->
     Psi(inf) times n_i, an omega^-3.5 law."""
     check_quantum_impurity(valleys, material, omega)
     pref = _QUANTUM_COEFF * _collision_scale(material) / (omega**2 * (HBAR * omega) ** 1.5)
-    psi_perp, psi_par = psi_infinity(0.0, material), psi_infinity(1.0, material)
+    b0 = math.sqrt(material.m_perp / material.mass_contrast)
+    psi_perp, psi_par = shape_b1(b0), 2.0 * (material.m_perp / material.m_par) * shape_b2(b0)
     return pref, [(v, v.n, psi_perp, psi_par) for v in _populated(valleys)]
 
 
@@ -281,9 +278,9 @@ def absorption_impurity(
     ``classical`` and ``quantum`` evaluate the closed-form limits and refuse
     to run outside their validity windows (RegimeError) rather than
     extrapolate silently.
+    omega outside [1e-50, 1e100] rad/s raises ConfigError (:func:`geometry.check_omega`).
     """
-    if not omega > 0.0:
-        raise ValueError(f"omega must be positive, got {omega}")
+    check_omega(omega)
     regime = Regime(regime)
     if regime is Regime.GENERAL:
         terms = _absorbed(_rates(valleys, material, [omega])[0], omega)

@@ -1,0 +1,145 @@
+"""One input domain: the public observables and the CLI accept and refuse the
+same inputs.  Non-finite valley and material fields and frequencies outside
+[OMEGA_MIN, OMEGA_MAX] raise ConfigError in the library and exit 2 in the
+CLI, without a warning; the range edges evaluate."""
+
+import contextlib
+import dataclasses
+import io
+import json
+import math
+import warnings
+from pathlib import Path
+
+import pytest
+
+import multivalley as mv
+from multivalley import cli
+from multivalley.errors import ConfigError, QuadratureError, RegimeError
+from multivalley.geometry import OMEGA_MAX, OMEGA_MIN
+from multivalley.impurity import p_plus
+
+DOCS = Path(__file__).resolve().parent.parent / "docs"
+
+# (mechanism, observable) of each public observable
+OBSERVABLES = {
+    mv.absorption_impurity: ("impurity", "absorption"),
+    mv.absorption_acoustic: ("acoustic", "absorption"),
+    mv.emission_impurity: ("impurity", "emission"),
+    mv.emission_acoustic: ("acoustic", "emission"),
+}
+REGIMES = ["general", "classical", "quantum"]
+OUTSIDE = [1e-60, 1e101, 1e120, math.inf, math.nan]
+
+
+def ge4_doc(**overrides):
+    doc = json.loads((DOCS / "config_ge4_spectrum.json").read_text())
+    doc.update(overrides)
+    return doc
+
+
+def phi_doc(omega, function, regime):
+    mechanism, observable = OBSERVABLES[function]
+    return ge4_doc(mechanism=mechanism, regime=regime, observable=observable, sweep={
+        "kind": "phi", "min": 0.0, "max": 1.5, "points": 2, "omega": omega})
+
+
+def run_cli(tmp_path, doc):
+    """Exit code and stderr of the CLI on ``doc``, with warnings as errors."""
+    cfg, err = tmp_path / "config.json", io.StringIO()
+    cfg.write_text(json.dumps(doc))  # non-finite numbers as NaN/Infinity, which json reads
+    with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = cli.main(["--config", str(cfg), "--output", str(tmp_path / "x.csv")])
+    return code, err.getvalue()
+
+
+@pytest.fixture
+def ge4():
+    config = mv.parse_config(json.dumps(ge4_doc()))
+    return config.valleys, config.material, config.polarization
+
+
+def library_raises_config_error(build):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError):
+            build()
+
+
+@pytest.mark.parametrize("field,value", [
+    ("n", math.nan), ("n", math.inf), ("theta_K", math.inf),
+], ids=["n-nan", "n-inf", "theta-inf"])
+def test_non_finite_valley_is_refused(tmp_path, field, value):
+    fields = {"n": 1e16, "theta_K": 300.0, field: value}
+    library_raises_config_error(lambda: mv.Valley(
+        axis=(0.0, 0.0, 1.0), n=fields["n"], theta=mv.theta_from_kelvin(fields["theta_K"])))
+    code, err = run_cli(tmp_path, ge4_doc(valleys={"preset": "Ge4", **fields}))
+    assert code == 2 and f"valleys.{field}" in err
+
+
+@pytest.mark.parametrize("field,value", [
+    ("eps0", math.nan), ("eps0", math.inf), ("n_a", math.inf), ("m_par", math.inf),
+    ("tau_perp0", math.inf), ("r_D", math.inf),
+], ids=["eps0-nan", "eps0-inf", "n_a-inf", "m_par-inf", "tau_perp0-inf", "r_D-inf"])
+def test_non_finite_material_is_refused(tmp_path, ge4, field, value):
+    _, material, _ = ge4
+    library_raises_config_error(lambda: dataclasses.replace(material, **{field: value}))
+    doc = ge4_doc()
+    doc["material"][field] = value
+    code, err = run_cli(tmp_path, doc)
+    assert code == 2 and f"material.{field}" in err
+
+
+@pytest.mark.parametrize("omega", OUTSIDE)
+@pytest.mark.parametrize("regime", REGIMES)
+@pytest.mark.parametrize("function", OBSERVABLES, ids=lambda f: f.__name__)
+def test_frequency_outside_range_is_refused(tmp_path, ge4, function, regime, omega):
+    valleys, material, pol = ge4
+    library_raises_config_error(lambda: function(valleys, material, omega, pol, regime))
+    code, err = run_cli(tmp_path, phi_doc(omega, function, regime))
+    assert code == 2 and "sweep.omega" in err
+
+
+@pytest.mark.parametrize("omega", OUTSIDE)
+def test_absorbed_power_outside_range_is_refused(ge4, omega):
+    valleys, material, pol = ge4
+    library_raises_config_error(lambda: p_plus(valleys.valleys[0], material, omega, pol, 1.0))
+
+
+@pytest.mark.parametrize("omega", [OMEGA_MIN, OMEGA_MAX])
+@pytest.mark.parametrize("regime", REGIMES)
+@pytest.mark.parametrize("function", OBSERVABLES, ids=lambda f: f.__name__)
+def test_range_edges_evaluate(tmp_path, ge4, function, regime, omega):
+    # a finite, non-negative value, or a documented error; the CLI agrees
+    valleys, material, pol = ge4
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            value = function(valleys, material, omega, pol, regime)
+        except RegimeError:
+            expected = 3
+        except (QuadratureError, FloatingPointError):
+            expected = 4
+        else:
+            value = getattr(value, "dW_dOmega", value)
+            assert math.isfinite(value) and value >= 0.0
+            expected = 0
+    assert run_cli(tmp_path, phi_doc(omega, function, regime))[0] == expected
+
+
+@pytest.mark.parametrize("omega", [1e-50, 1e-20, 1e-2])
+@pytest.mark.parametrize("kelvin", [4.2, 300.0, 1e4])
+def test_general_impurity_at_vanishing_frequency(tmp_path, kelvin, omega):
+    # hbar omega/theta down to ~1e-66: the momentum window's lower end
+    # q_min must not cancel to 0
+    doc = ge4_doc(valleys={"preset": "Ge4", "n": 1e16, "theta_K": kelvin},
+                  sweep={"kind": "omega", "min": omega, "max": 10.0 * omega, "points": 3})
+    assert run_cli(tmp_path, doc) == (0, "")
+    config = mv.parse_config(json.dumps(doc))
+    args = (config.valleys, config.material, omega, config.polarization)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        k = mv.absorption_impurity(*args)
+        w = mv.emission_impurity(*args).dW_dOmega
+    assert math.isfinite(k) and k > 0.0 and math.isfinite(w) and w > 0.0

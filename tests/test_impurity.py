@@ -398,10 +398,11 @@ def oracle_endpoints(material, theta, omega):
 
     def integrand(shape):
         def g(x):
-            root_x, root_xs = math.sqrt(x), math.sqrt(x + s)
+            # q_min = kappa (sqrt(x+s) - sqrt(x)) without the cancellation at tiny s
+            roots = math.sqrt(x + s) + math.sqrt(x)
             return sum(
                 shape(b_param(q, material.r_D, material.m_perp, material.m_par).b)
-                for q in (kappa * (root_xs + root_x), kappa * (root_xs - root_x))
+                for q in (kappa * roots, kappa * s / roots)
             )
         return g
 
@@ -435,6 +436,16 @@ class TestSpectralAccuracy:
             got = spectral_endpoints(material, theta, omega)
             want = oracle_endpoints(material, theta, omega)
             assert got == pytest.approx(want, rel=1e-9, abs=0), (m_perp, r_D, kelvin, omega)
+
+    @pytest.mark.parametrize("omega", [1e-50, 1e-20, 1e-2])
+    @pytest.mark.parametrize("kelvin", [4.2, 300.0, 1e4])
+    def test_matches_adaptive_oracle_at_vanishing_frequency(self, ge_material, kelvin, omega):
+        # s = hbar omega/theta down to ~1e-66: q_min = kappa (sqrt(x+s) - sqrt(x))
+        # would cancel to 0 in floating point
+        theta = mv.theta_from_kelvin(kelvin)
+        got = spectral_endpoints(ge_material, theta, omega)
+        want = oracle_endpoints(ge_material, theta, omega)
+        assert got == pytest.approx(want, rel=1e-9, abs=0)
 
 
 class TestBatchedEndpoints:
