@@ -31,11 +31,8 @@ from typing import Sequence
 import numpy as np
 
 from .constants import C_LIGHT, E_CHARGE, HBAR
-from .errors import RegimeError
-from .geometry import (
-    Material, Polarization, Terms, ValleySet, _absorbed, _observe, _populated, check_omega,
-)
-from .modes import CLASSICAL_S_MAX, QUANTUM_S_MIN, Observable, Regime
+from .geometry import Material, Polarization, Terms, ValleySet, _populated
+from .modes import Mechanism, Observable, Regime, check_window
 from .quadrature import DEFAULT_QUADRATURE, _integrate
 
 __all__ = [
@@ -71,23 +68,11 @@ def _tensor_pair(material: Material) -> tuple[float, float]:
 
 
 def check_classical_acoustic(valleys: ValleySet, omega: float) -> None:
-    for v in _populated(valleys):
-        s = HBAR * omega / v.theta
-        if s > CLASSICAL_S_MAX:
-            raise RegimeError(
-                f"classical acoustic form needs hbar*omega/theta <= "
-                f"{CLASSICAL_S_MAX}, got {s:.3e} at omega = {omega:.6e} rad/s"
-            )
+    check_window(valleys, omega, Regime.CLASSICAL, "acoustic")
 
 
 def check_quantum_acoustic(valleys: ValleySet, omega: float) -> None:
-    for v in _populated(valleys):
-        s = HBAR * omega / v.theta
-        if s < QUANTUM_S_MIN:
-            raise RegimeError(
-                f"quantum acoustic form needs hbar*omega/theta >= "
-                f"{QUANTUM_S_MIN}, got {s:.3e} at omega = {omega:.6e} rad/s"
-            )
+    check_window(valleys, omega, Regime.QUANTUM, "acoustic")
 
 
 def _pow2(s: np.ndarray) -> np.ndarray:
@@ -182,15 +167,9 @@ def absorption_acoustic(
     {weight} = (1 - cos^2 phi_i)/(m_perp tau_perp0) + cos^2 phi_i/(m_par tau_par0).
     omega outside [1e-50, 1e100] rad/s raises ConfigError (:func:`geometry.check_omega`).
     """
-    check_omega(omega)
-    regime = Regime(regime)
-    if regime is Regime.GENERAL:
-        terms = _absorbed(_rates(valleys, material, [omega])[0], omega)
-    elif regime is Regime.CLASSICAL:
-        terms = _classical_absorption(valleys, material, omega)
-    else:
-        terms = _quantum_absorption(valleys, material, omega)
-    return _observe(terms, pol, Observable.ABSORPTION, omega)
+    from .emission import _value  # at call time: emission imports this module
+
+    return _value(Mechanism.ACOUSTIC, Observable.ABSORPTION, valleys, material, omega, pol, regime)
 
 
 def mobility_acoustic(material: Material, theta: float) -> tuple[float, float]:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .config import parse_config, run_sweep, write_csv
 from .errors import ConfigError, QuadratureError, RegimeError
-from .modes import Mechanism, Observable, Regime
+from .modes import Mechanism, Observable, Regime, parse
 
 __all__ = ["main"]
 
@@ -65,7 +65,7 @@ def main(argv: list[str] | None = None) -> int:
             config = parse_config(handle.read())
         for key, (selector, _) in _SELECTORS.items():
             if getattr(args, key):
-                config = replace(config, **{key: selector(getattr(args, key))})
+                config = replace(config, **{key: parse(selector, getattr(args, key), key)})
         if args.workers is not None:
             if args.workers < 1:
                 raise ConfigError(f"--workers must be >= 1, got {args.workers}")

@@ -41,7 +41,7 @@ from .geometry import (
     debye_radius,
     load_preset,
 )
-from .modes import Mechanism, Observable, Regime
+from .modes import Mechanism, Observable, Regime, parse
 
 __all__ = ["SweepSpec", "RunConfig", "SweepResult", "parse_config", "run_sweep", "write_csv"]
 
@@ -239,14 +239,7 @@ def _parse_sweep(doc: dict) -> SweepSpec:
 
 def _choice(doc: dict, key: str, default: Enum) -> Enum:
     """The member of ``default``'s selector named by ``doc[key]``, or ``default``."""
-    selector = type(default)
-    try:
-        return selector(doc.get(key, default.value))
-    except ValueError:
-        *names, last = (repr(member.value) for member in selector)
-        raise ConfigError(
-            f"{key}: expected {', '.join(names)} or {last}, got {doc.get(key)!r}"
-        ) from None
+    return parse(type(default), doc.get(key, default.value), key)
 
 
 def parse_config(text: str) -> RunConfig:

@@ -42,7 +42,7 @@ from .geometry import (
 
 # Re-exported: perfbench/tracing.py looks p_plus up in this module.
 from .impurity import p_plus  # noqa: F401
-from .modes import Mechanism, Observable, Regime
+from .modes import Mechanism, Observable, Regime, parse
 
 __all__ = [
     "EmissionResult",
@@ -155,16 +155,24 @@ def _terms(
         ]
 
 
+def _value(
+    mechanism: Mechanism, observable: Observable, valleys: ValleySet, material: Material,
+    omega: float, pol: Polarization, regime: Regime | str,
+) -> float:
+    """One observable at one frequency: the body of the four public observables."""
+    check_omega(omega)
+    regime = parse(Regime, regime, "regime")
+    ((terms,),) = _terms(mechanism, regime, [observable], valleys, material, [omega])
+    return _observe(terms, pol, observable, omega)
+
+
 def _emission(
     mechanism: Mechanism, valleys: ValleySet, material: Material, omega: float,
     pol: Polarization, regime: Regime | str,
 ) -> EmissionResult:
-    check_omega(omega)
-    regime = Regime(regime)
-    ((terms,),) = _terms(mechanism, regime, [Observable.EMISSION], valleys, material, [omega])
     return EmissionResult(
-        dW_dOmega=_observe(terms, pol, Observable.EMISSION, omega),
-        omega=omega, regime=regime, mechanism=mechanism,
+        dW_dOmega=_value(mechanism, Observable.EMISSION, valleys, material, omega, pol, regime),
+        omega=omega, regime=parse(Regime, regime, "regime"), mechanism=mechanism,
     )
 
 

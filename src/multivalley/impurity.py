@@ -33,21 +33,12 @@ from .geometry import (
     Valley,
     ValleySet,
     Terms,
-    _absorbed,
-    _observe,
     _populated,
     _project,
     check_omega,
     incident_flux,
 )
-from .modes import (
-    CLASSICAL_S_MAX,
-    QUANTUM_S_MIN,
-    QUANTUM_SCREENING_MIN,
-    XMIN_MAX,
-    Observable,
-    Regime,
-)
+from .modes import QUANTUM_SCREENING_MIN, Mechanism, Observable, Regime, check_window
 from .quadrature import DEFAULT_QUADRATURE, _integrate
 from .special import _shape_b12, coulomb_log, shape_b1, shape_b2
 
@@ -55,7 +46,6 @@ __all__ = [
     "RelaxationTensor",
     "x_min",
     "p_plus",
-    "p_minus",
     "absorption_impurity",
     "relaxation_impurity",
     "mobility_impurity",
@@ -193,35 +183,11 @@ def p_plus(
     return _project((factor * incident_flux(omega, A0, material.eps0), rates), pol)
 
 
-def p_minus(
-    valley: Valley,
-    material: Material,
-    omega: float,
-    pol: Polarization,
-    A0: float,
-) -> float:
-    """Power emitted per unit volume by one valley; detailed balance gives
-    p_minus = -exp(-hbar omega/theta) p_plus (negative: energy leaves the
-    electrons)."""
-    s = HBAR * omega / valley.theta
-    return -math.exp(-s) * p_plus(valley, material, omega, pol, A0)
-
-
 def check_classical_impurity(valleys: ValleySet, material: Material, omega: float) -> None:
-    """Guards for the classical impurity closed form; raises RegimeError."""
-    for v in _populated(valleys):
-        s = HBAR * omega / v.theta
-        if s > CLASSICAL_S_MAX:
-            raise RegimeError(
-                f"classical impurity form needs hbar*omega/theta <= "
-                f"{CLASSICAL_S_MAX}, got {s:.3e} at omega = {omega:.6e} rad/s"
-            )
-        xm = x_min(material, v.theta)
-        if xm >= XMIN_MAX:
-            raise RegimeError(
-                f"classical impurity form needs x_min < {XMIN_MAX}, got {xm:.3e} "
-                "(screening too strong for the logarithmic approximation)"
-            )
+    """Guard for the classical impurity closed form; raises RegimeError.  Its
+    condition on x_min is :func:`special.coulomb_log`'s, which
+    :func:`relaxation_impurity` reaches on the same path."""
+    check_window(valleys, omega, Regime.CLASSICAL, "impurity")
 
 
 def check_quantum_impurity(valleys: ValleySet, material: Material, omega: float) -> None:
@@ -230,16 +196,10 @@ def check_quantum_impurity(valleys: ValleySet, material: Material, omega: float)
     screening = 2.0 * material.m_perp * omega * r_D**2 / HBAR  # (q_omega r_D)^2
     if screening < QUANTUM_SCREENING_MIN:
         raise RegimeError(
-            f"quantum impurity form needs (q_omega r_D)^2 >= "
-            f"{QUANTUM_SCREENING_MIN:g}, got {screening:.3e}"
+            f"quantum impurity form needs (q_omega r_D)^2 >= {QUANTUM_SCREENING_MIN:g}, "
+            f"got {screening:.3e} at omega = {omega:.6e} rad/s"
         )
-    for v in _populated(valleys):
-        s = HBAR * omega / v.theta
-        if s < QUANTUM_S_MIN:
-            raise RegimeError(
-                f"quantum impurity form needs hbar*omega/theta >= "
-                f"{QUANTUM_S_MIN}, got {s:.3e} at omega = {omega:.6e} rad/s"
-            )
+    check_window(valleys, omega, Regime.QUANTUM, "impurity")
 
 
 def _classical_absorption(valleys: ValleySet, material: Material, omega: float) -> Terms:
@@ -257,12 +217,15 @@ def _classical_absorption(valleys: ValleySet, material: Material, omega: float) 
 
 def _quantum_absorption(valleys: ValleySet, material: Material, omega: float) -> Terms:
     """Quantum closed-form absorption terms: the unscreened shape function
-    Psi(inf) times n_i, an omega^-3.5 law."""
+    Psi(inf) times n_i / (hbar omega)^{3/2}, an omega^-3.5 law.  The
+    (hbar omega)^{3/2} divides the weights, not the factor, whose omega^2
+    times it would overflow above ~3e99 rad/s."""
     check_quantum_impurity(valleys, material, omega)
-    pref = _QUANTUM_COEFF * _collision_scale(material) / (omega**2 * (HBAR * omega) ** 1.5)
+    pref = _QUANTUM_COEFF * _collision_scale(material) / omega**2
     b0 = math.sqrt(material.m_perp / material.mass_contrast)
     psi_perp, psi_par = shape_b1(b0), 2.0 * (material.m_perp / material.m_par) * shape_b2(b0)
-    return pref, [(v, v.n, psi_perp, psi_par) for v in _populated(valleys)]
+    energy = (HBAR * omega) ** 1.5
+    return pref, [(v, v.n / energy, psi_perp, psi_par) for v in _populated(valleys)]
 
 
 def absorption_impurity(
@@ -280,15 +243,9 @@ def absorption_impurity(
     extrapolate silently.
     omega outside [1e-50, 1e100] rad/s raises ConfigError (:func:`geometry.check_omega`).
     """
-    check_omega(omega)
-    regime = Regime(regime)
-    if regime is Regime.GENERAL:
-        terms = _absorbed(_rates(valleys, material, [omega])[0], omega)
-    elif regime is Regime.CLASSICAL:
-        terms = _classical_absorption(valleys, material, omega)
-    else:
-        terms = _quantum_absorption(valleys, material, omega)
-    return _observe(terms, pol, Observable.ABSORPTION, omega)
+    from .emission import _value  # at call time: emission imports this module
+
+    return _value(Mechanism.IMPURITY, Observable.ABSORPTION, valleys, material, omega, pol, regime)
 
 
 def relaxation_impurity(material: Material, theta: float) -> RelaxationTensor:

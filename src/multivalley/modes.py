@@ -3,17 +3,26 @@
 Regimes are explicit: the caller picks ``general`` (the spectral quadrature
 core), ``classical`` (hbar*omega well below the electron temperature) or
 ``quantum`` (well above).  Closed forms refuse to evaluate outside their
-validity window; there is no automatic switching.
+validity window (:func:`check_window`); there is no automatic switching.
 """
 
 from __future__ import annotations
 
 from enum import Enum
+from typing import TYPE_CHECKING, TypeVar
+
+from .constants import HBAR
+from .errors import ConfigError, RegimeError
+
+if TYPE_CHECKING:  # geometry imports this module
+    from .geometry import ValleySet
 
 __all__ = [
     "Regime",
     "Mechanism",
     "Observable",
+    "parse",
+    "check_window",
     "CLASSICAL_S_MAX",
     "QUANTUM_S_MIN",
     "QUANTUM_SCREENING_MIN",
@@ -55,3 +64,33 @@ class Observable(str, Enum):
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value
+
+
+E = TypeVar("E", bound=Enum)
+
+
+def parse(selector: type[E], value: E | str, key: str) -> E:
+    """The member of ``selector`` named by ``value`` (a member passes through);
+    ConfigError naming ``key`` and the allowed values otherwise."""
+    try:
+        return selector(value)
+    except ValueError:
+        *names, last = (repr(member.value) for member in selector)
+        raise ConfigError(f"{key}: expected {', '.join(names)} or {last}, got {value!r}") from None
+
+
+def check_window(valleys: ValleySet, omega: float, regime: Regime, form: str) -> None:
+    """RegimeError unless s = hbar*omega/theta_i lies in the window of the
+    ``regime`` closed form for every populated valley: s <= CLASSICAL_S_MAX,
+    or s >= QUANTUM_S_MIN.  ``form`` names the mechanism in the message."""
+    classical = regime is Regime.CLASSICAL
+    bound = CLASSICAL_S_MAX if classical else QUANTUM_S_MIN
+    for v in valleys:
+        if v.n > 0.0:
+            s = HBAR * omega / v.theta
+            if (s > bound) if classical else (s < bound):
+                relation = "<=" if classical else ">="
+                raise RegimeError(
+                    f"{regime.value} {form} form needs hbar*omega/theta {relation} {bound}, "
+                    f"got {s:.3e} at omega = {omega:.6e} rad/s"
+                )

@@ -146,7 +146,7 @@ def integrate_unit_sphere(
 
 
 def spectral_integral(g: Callable[[float], float], s: float, rel_tol: float = 1e-12) -> float:
-    """Adaptive reference for ``quadrature.integrate_spectral``:
+    """Adaptive reference for ``quadrature.integrate_spectral_with_error``:
 
         int_0^inf e^-x g(x) / sqrt(x (x + s)) dx,  g called with one float x,
 

@@ -30,7 +30,6 @@ from .errors import QuadratureError
 __all__ = [
     "QuadratureSpec",
     "DEFAULT_QUADRATURE",
-    "integrate_spectral",
     "integrate_spectral_with_error",
 ]
 
@@ -188,8 +187,12 @@ def integrate_spectral_with_error(
     s: float,
     spec: QuadratureSpec = DEFAULT_QUADRATURE,
 ) -> tuple[float, float]:
-    """Like :func:`integrate_spectral` but also returns the error estimate.
+    """``int_0^inf e^-x g(x) / sqrt(x (x + s)) dx`` to the spec's rel_tol, and
+    its error estimate.
 
+    ``s`` is the dimensionless photon-to-thermal energy ratio; ``g`` maps an
+    ndarray of x elementwise, must be bounded on (0, inf) and, for s = 0,
+    must vanish at the origin fast enough to keep the integrand integrable.
     The estimate is the sum over panels of QUADPACK's Gauss-Kronrod estimate
     ``resasc * min(1, (200 |K - G| / resasc)^1.5)``; above ``10 rel_tol``
     times the value it raises :class:`QuadratureError`.
@@ -201,16 +204,3 @@ def integrate_spectral_with_error(
     )
     return float(value[0, 0]), float(abserr[0, 0])
 
-
-def integrate_spectral(
-    g: Callable[[np.ndarray], np.ndarray],
-    s: float,
-    spec: QuadratureSpec = DEFAULT_QUADRATURE,
-) -> float:
-    """``int_0^inf e^-x g(x) / sqrt(x (x + s)) dx`` to the spec's rel_tol.
-
-    ``s`` is the dimensionless photon-to-thermal energy ratio; ``g`` maps an
-    ndarray of x elementwise, must be bounded on (0, inf) and, for s = 0,
-    must vanish at the origin fast enough to keep the integrand integrable.
-    """
-    return integrate_spectral_with_error(g, s, spec)[0]

@@ -143,3 +143,40 @@ def test_general_impurity_at_vanishing_frequency(tmp_path, kelvin, omega):
         k = mv.absorption_impurity(*args)
         w = mv.emission_impurity(*args).dW_dOmega
     assert math.isfinite(k) and k > 0.0 and math.isfinite(w) and w > 0.0
+
+
+@pytest.mark.parametrize("function", OBSERVABLES, ids=lambda f: f.__name__)
+def test_unknown_regime_is_refused(tmp_path, ge4, function):
+    # the library raises the CLI's refusal, word for word
+    valleys, material, pol = ge4
+    with pytest.raises(ConfigError) as err:
+        function(valleys, material, 1e13, pol, "clasical")
+    assert str(err.value) == "regime: expected 'general', 'classical' or 'quantum', got 'clasical'"
+    assert run_cli(tmp_path, phi_doc(1e13, function, "clasical")) == (2, f"config error: {err.value}\n")
+
+
+def assert_regime_refusal(tmp_path, ge4, function, regime, omega, r_d, message):
+    """The library and the CLI refuse with ``message`` at ``omega``, named."""
+    valleys, material, pol = ge4
+    message = f"{message} at omega = {omega:.6e} rad/s"
+    with pytest.raises(RegimeError) as err:
+        function(valleys, dataclasses.replace(material, r_D=r_d), omega, pol, regime)
+    assert str(err.value) == message
+    doc = phi_doc(omega, function, regime)
+    doc["material"]["r_D"] = r_d
+    assert run_cli(tmp_path, doc) == (3, f"regime error: {message}\n")
+
+
+@pytest.mark.parametrize("regime,relation", [("classical", "<= 0.1"), ("quantum", ">= 10.0")])
+@pytest.mark.parametrize("function", OBSERVABLES, ids=lambda f: f.__name__)
+def test_window_refusal_names_omega(tmp_path, ge4, function, regime, relation):
+    mechanism, _ = OBSERVABLES[function]
+    message = f"{regime} {mechanism} form needs hbar*omega/theta {relation}, got 2.546e+00"
+    assert_regime_refusal(tmp_path, ge4, function, regime, 1e14, 3e-5, message)
+
+
+@pytest.mark.parametrize("function", [mv.absorption_impurity, mv.emission_impurity],
+                         ids=lambda f: f.__name__)
+def test_screening_refusal_names_omega(tmp_path, ge4, function):
+    message = "quantum impurity form needs (q_omega r_D)^2 >= 1000, got 1.417e+00"
+    assert_regime_refusal(tmp_path, ge4, function, "quantum", 1e15, 1e-7, message)

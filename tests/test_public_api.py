@@ -20,9 +20,9 @@ PERFBENCH = ROOT / "perfbench"
 # with the module that still defines each of them.
 DROPPED = {
     "constants": ["C_LIGHT", "E_CHARGE", "EULER_GAMMA", "HBAR", "K_BOLTZMANN", "M_ELECTRON"],
-    "quadrature": ["DEFAULT_QUADRATURE", "QuadratureSpec", "integrate_spectral"],
-    "impurity": ["RelaxationTensor", "mobility_impurity", "p_minus", "p_plus",
-                 "relaxation_impurity", "x_min"],
+    "quadrature": ["DEFAULT_QUADRATURE", "QuadratureSpec"],
+    "impurity": ["RelaxationTensor", "mobility_impurity", "p_plus", "relaxation_impurity",
+                 "x_min"],
     "special": ["bessel_k0", "bessel_k1", "bessel_k2", "coulomb_log", "psi_infinity",
                 "shape_b1", "shape_b2"],
     "geometry": ["cos_phi", "debye_radius", "incident_flux"],
