@@ -13,7 +13,8 @@ in a brings down cosh t = (2x + s)/s and a^3 d/da [K1(a)/a] = -a^2 K2(a).
 The kernel enters scaled, as e^a a^2 K2(a), which keeps each valley's
 absorption and emission in Kirchhoff balance and never underflows.  It is
 half the energy integral, which the spectral quadrature core evaluates with
-g = (2x + s) x (x + s) (:func:`_kernels`).
+g = (2x + s) x (x + s) (``quadrature._kernels``; the batched integrand lives
+with the numpy core, so the closed forms here run without numpy).
 
 :func:`_rates` is the general-regime rate core: per valley and frequency, the
 absorption rate before stimulated emission across and along the valley axis.
@@ -23,17 +24,12 @@ emission from the same rates by detailed balance.
 
 from __future__ import annotations
 
-import functools
 import math
-import sys
 from typing import Sequence
-
-import numpy as np
 
 from .constants import C_LIGHT, E_CHARGE, HBAR
 from .geometry import Material, Polarization, Terms, ValleySet, _populated
-from .modes import Mechanism, Observable, Regime, check_window
-from .quadrature import DEFAULT_QUADRATURE, _integrate
+from .modes import Mechanism, Observable, Regime, check_window, spectral_core
 
 __all__ = [
     "tau_acoustic",
@@ -75,46 +71,20 @@ def check_quantum_acoustic(valleys: ValleySet, omega: float) -> None:
     check_window(valleys, omega, Regime.QUANTUM, "acoustic")
 
 
-def _pow2(s: np.ndarray) -> np.ndarray:
-    """The power of two that divides max(s, 1) into [1, 2)."""
-    return np.ldexp(0.5, np.frexp(np.maximum(s, 1.0))[1])
-
-
-def _moment(x: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """g = (2x + s) x (x + s), its two factors of size s divided by
-    :func:`_pow2` (exactly), so that g stays in range for every finite s."""
-    c = _pow2(s)
-    return ((2.0 * x + s) / c * x * ((x + s) / c))[None]
-
-
-def _kernels(s: np.ndarray) -> list[float]:
-    """e^a a^2 K2(a) at every s = 2a of ``s``: half the energy integral, in one
-    quadrature call, unscaled in Python floats, so that a kernel beyond double
-    range (s above ~5e205, or s = inf) is inf without a floating-point trap."""
-    s = np.minimum(s, sys.float_info.max)
-    values = _integrate(_moment, s, DEFAULT_QUADRATURE.rel_tol)[0][0].tolist()
-    return [0.5 * value * c * c for value, c in zip(values, _pow2(s).tolist())]
-
-
-@functools.lru_cache(maxsize=64)
-def _kernel(s: float) -> float:
-    """:func:`_kernels` at one s, memoized: a phi sweep asks for it at every row."""
-    return _kernels(np.array([s]))[0]
-
-
 def _rates(valleys: ValleySet, material: Material, omegas: Sequence[float]) -> list[Terms]:
     """General-regime rate core: at each omega, per populated valley,
     (valley, 1, r_perp, r_par): the absorption coefficient before the factor
     1 - e^{-2 a_i}, (16 sqrt(pi)/3 sqrt(eps0)) (e0^2/c hbar omega^3) times
     n_i theta_i e^{a_i} a_i^2 K2(a_i) times :func:`_tensor_pair`.  The kernel
     runs over the grid once per distinct valley temperature, or through the
-    memo :func:`_kernel` at a single frequency.
+    memo ``quadrature._kernel`` at a single frequency.
     """
+    core = spectral_core()
     populated = _populated(valleys)
     pair_perp, pair_par = _tensor_pair(material)
     kernels = {
-        theta: [_kernel(HBAR * omegas[0] / theta)] if len(omegas) == 1
-        else _kernels(HBAR * np.asarray(omegas, dtype=float) / theta)
+        theta: [core._kernel(HBAR * omegas[0] / theta)] if len(omegas) == 1
+        else core._kernels([HBAR * omega / theta for omega in omegas])
         for theta in dict.fromkeys(v.theta for v in populated)
     }
     terms = []

@@ -9,10 +9,9 @@ Exit codes: 0 success, 2 configuration error, 3 regime-validity error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from dataclasses import replace
-
-import numpy as np
 
 from .config import parse_config, run_sweep, write_csv
 from .errors import ConfigError, QuadratureError, RegimeError
@@ -58,6 +57,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _numpy_traps(regime: Regime) -> contextlib.AbstractContextManager:
+    """numpy overflow, division by zero and nan are numerical failures (exit 4).
+    Only the general regime runs numpy code; a closed form never imports it."""
+    if regime is not Regime.GENERAL:
+        return contextlib.nullcontext()
+    import numpy as np
+
+    return np.errstate(over="raise", divide="raise", invalid="raise")
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -75,8 +84,7 @@ def main(argv: list[str] | None = None) -> int:
         if not output:
             raise ConfigError("no output path: give --output or set 'output' in the config")
 
-        # numpy overflow, division by zero and nan are numerical failures (exit 4)
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
+        with _numpy_traps(config.regime):
             result = run_sweep(config)
         write_csv(result, output)
     except OSError as exc:

@@ -23,8 +23,6 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterator
 
-import numpy as np
-
 from .constants import ERG_PER_EV, HBAR, theta_from_ev, theta_from_kelvin
 from .emission import _terms
 from .errors import ConfigError
@@ -56,10 +54,25 @@ class SweepSpec:
     omega: float | None = None     # fixed frequency for phi sweeps
     plane: tuple[tuple[float, float, float], tuple[float, float, float]] | None = None
 
-    def grid(self) -> np.ndarray:
+    def grid(self) -> list[float]:
+        """The sweep's points, by the algorithm of numpy's ``linspace`` and
+        ``geomspace``: exact ends, and k*step + min between them, on the
+        log10 scale for a log grid."""
         if self.scale == "log":
-            return np.geomspace(self.minimum, self.maximum, self.points)
-        return np.linspace(self.minimum, self.maximum, self.points)
+            exponents = _linspace(math.log10(self.minimum), math.log10(self.maximum), self.points)
+            return [self.minimum, *(10.0**e for e in exponents[1:-1]), self.maximum]
+        return _linspace(self.minimum, self.maximum, self.points)
+
+
+def _linspace(start: float, stop: float, num: int) -> list[float]:
+    div = num - 1
+    delta = stop - start
+    if delta == math.inf:
+        raise OverflowError(f"sweep span {stop} - ({start}) exceeds double range")
+    step = delta / div
+    if step == 0.0:  # a subnormal span: scale by the fraction k/div instead
+        return [k / div * delta + start for k in range(div)] + [stop]
+    return [k * step + start for k in range(div)] + [stop]
 
 
 @dataclass(frozen=True)
@@ -214,15 +227,14 @@ def _parse_sweep(doc: dict) -> SweepSpec:
             raise ConfigError(f"{path}.plane: expected two 3-vectors")
         e1 = Polarization.from_vector(_vector(raw_plane[0], f"{path}.plane[0]")).q0
         # Unit length first: huge components would overflow the norm below.
-        e2_raw = np.asarray(Polarization.from_vector(_vector(raw_plane[1], f"{path}.plane[1]")).q0)
+        e2 = Polarization.from_vector(_vector(raw_plane[1], f"{path}.plane[1]")).q0
         # Orthonormalize the second axis against the first.
-        e1_arr = np.asarray(e1)
-        e2_arr = e2_raw - np.dot(e2_raw, e1_arr) * e1_arr
-        norm = float(np.linalg.norm(e2_arr))
+        overlap = sum(a * b for a, b in zip(e1, e2))
+        e2 = [b - overlap * a for a, b in zip(e1, e2)]
+        norm = math.sqrt(sum(v * v for v in e2))
         if norm < 1e-12:
             raise ConfigError(f"{path}.plane: the two vectors must be independent")
-        e2 = tuple(float(v) for v in e2_arr / norm)
-        plane = (e1, e2)
+        plane = (e1, tuple(v / norm for v in e2))
     ends = (("min", minimum), ("max", maximum)) if kind == "omega" else (("omega", omega),)
     for key, value in ends:
         check_omega(value, f"{path}.{key}")
@@ -326,13 +338,12 @@ def run_sweep(config: RunConfig) -> SweepResult:
 
     grid = config.sweep.grid()
     if config.sweep.kind == "omega":
-        points = [(None, float(w), config.polarization) for w in grid]
-        row_terms = terms([omega for _, omega, _ in points])
+        points = [(None, omega, config.polarization) for omega in grid]
+        row_terms = terms(grid)
     else:
         e1, e2 = config.sweep.plane
         points = []
         for phi in grid:
-            phi = float(phi)
             vec = tuple(
                 math.cos(phi) * a + math.sin(phi) * b for a, b in zip(e1, e2)
             )

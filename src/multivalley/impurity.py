@@ -9,10 +9,12 @@ the Conwell-Weisskopf logarithm and the anisotropic relaxation tensor.
 
 Everything here is affine in cos^2(phi_i): the rate core :func:`_rates`
 computes each distinct temperature's transverse/longitudinal endpoint
-integrals once, over a whole frequency grid in batched quadrature passes
-(:func:`_endpoints`), and returns per-valley (r_perp, r_par) pairs at each
-frequency, which the shared projection combines linearly, so polarization
-laws hold to machine precision rather than quadrature tolerance.
+integrals once, over a whole frequency grid in batched quadrature passes,
+and returns per-valley (r_perp, r_par) pairs at each frequency, which the
+shared projection combines linearly, so polarization laws hold to machine
+precision rather than quadrature tolerance.  The batched integrand,
+``quadrature._endpoints``, lives with the numpy core: the closed forms here
+run without numpy.
 Absorption, the absorbed power ``p_plus`` and (in ``emission``) spontaneous
 emission all project from the same rates.
 """
@@ -22,8 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Sequence
-
-import numpy as np
 
 from .constants import C_LIGHT, E_CHARGE, HBAR
 from .errors import RegimeError
@@ -38,9 +38,10 @@ from .geometry import (
     check_omega,
     incident_flux,
 )
-from .modes import QUANTUM_SCREENING_MIN, Mechanism, Observable, Regime, check_window
-from .quadrature import DEFAULT_QUADRATURE, _integrate
-from .special import _shape_b12, coulomb_log, shape_b1, shape_b2
+from .modes import (
+    QUANTUM_SCREENING_MIN, Mechanism, Observable, Regime, check_window, spectral_core,
+)
+from .special import coulomb_log, shape_b1, shape_b2
 
 __all__ = [
     "RelaxationTensor",
@@ -96,30 +97,8 @@ def spectral_endpoints(material: Material, theta: float, omega: float) -> tuple[
     (1 - c) I1 + c (2 m_perp/m_par) I2 with c = cos^2(phi).  Splitting this
     way keeps the result exactly affine in c.
     """
-    i1, i2 = _endpoints(material, theta, [omega]).ravel().tolist()
+    i1, i2 = spectral_core()._endpoints(material, theta, [omega]).ravel().tolist()
     return i1, i2
-
-
-def _endpoints(material: Material, theta: float, omegas: Sequence[float]) -> np.ndarray:
-    """(I1, I2) of :func:`spectral_endpoints` at every omega, shape (2, len(omegas)).
-
-    One quadrature pass evaluates both integrands, at both ends of the
-    momentum window, for many frequencies at once.
-    """
-    kappa = math.sqrt(2.0 * material.m_perp * theta) / HBAR
-    r_D = material.require_r_D()
-    b0_sq = material.m_perp / material.mass_contrast
-    inv_rd_sq = 1.0 / (r_D * r_D)
-
-    def sums(x: np.ndarray, s: np.ndarray) -> np.ndarray:
-        roots = np.sqrt(x + s) + np.sqrt(x)
-        # q_min = kappa (sqrt(x+s) - sqrt(x)), rationalized: no cancellation at tiny s
-        q = kappa * np.array((roots, s / roots))
-        b1, b2 = _shape_b12(np.sqrt(b0_sq * (1.0 + inv_rd_sq / (q * q))))
-        return np.array((b1[0] + b1[1], b2[0] + b2[1]))
-
-    s = HBAR * np.asarray(omegas, dtype=float) / theta
-    return _integrate(sums, s, DEFAULT_QUADRATURE.rel_tol)[0]
 
 
 def combine_endpoints(
@@ -152,7 +131,7 @@ def _rates(valleys: ValleySet, material: Material, omegas: Sequence[float]) -> l
     """
     populated = _populated(valleys)
     endpoints = {
-        theta: _endpoints(material, theta, omegas).T.tolist()
+        theta: spectral_core()._endpoints(material, theta, omegas).T.tolist()
         for theta in dict.fromkeys(v.theta for v in populated)
     }
     coeff = _GENERAL_COEFF * _collision_scale(material)

@@ -8,7 +8,9 @@ validity window (:func:`check_window`); there is no automatic switching.
 
 from __future__ import annotations
 
+import functools
 from enum import Enum
+from types import ModuleType
 from typing import TYPE_CHECKING, TypeVar
 
 from .constants import HBAR
@@ -23,6 +25,7 @@ __all__ = [
     "Observable",
     "parse",
     "check_window",
+    "spectral_core",
     "CLASSICAL_S_MAX",
     "QUANTUM_S_MIN",
     "QUANTUM_SCREENING_MIN",
@@ -94,3 +97,14 @@ def check_window(valleys: ValleySet, omega: float, regime: Regime, form: str) ->
                     f"{regime.value} {form} form needs hbar*omega/theta {relation} {bound}, "
                     f"got {s:.3e} at omega = {omega:.6e} rad/s"
                 )
+
+
+@functools.cache
+def spectral_core() -> ModuleType:
+    """The ``general`` regime's numpy core, the ``quadrature`` module, imported
+    on the first call: the closed forms never load numpy.  Memoized, because
+    a phi sweep asks for it at every row, where an import statement would
+    cost a few microseconds."""
+    from . import quadrature
+
+    return quadrature

@@ -15,17 +15,30 @@ stacked (s x panel x node) array, the Kronrod sums and the per-panel error
 estimates as array operations, reduced per s and checked in order of s.
 :func:`integrate_spectral_with_error` is its one-element call.  The
 unit-sphere rule of the brute-force oracles lives in ``oracles``.
+
+This is the one runtime module that imports numpy, so it also holds the
+batched integrands of the general regime: the impurity endpoint integrals
+(:func:`_endpoints`, with the array form :func:`_shape_b12` of the angular
+factors) and the acoustic Bessel kernel (:func:`_kernels`, :func:`_kernel`).
+The mechanism modules reach them through ``modes.spectral_core``, which
+imports this module on the first general-regime call, so the closed forms,
+config parsing and the CLI's start-up run without numpy.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import sys
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
+from .constants import HBAR
 from .errors import QuadratureError
+from .geometry import Material
+from .special import _B1_TAIL, _B2_TAIL, _B_SERIES_CUTOFF
 
 __all__ = [
     "QuadratureSpec",
@@ -204,3 +217,74 @@ def integrate_spectral_with_error(
     )
     return float(value[0, 0]), float(abserr[0, 0])
 
+
+# The batched integrands of the general regime.
+_TAILS = np.array((_B1_TAIL, _B2_TAIL))
+
+
+def _shape_b12(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(B1(b), B2(b)) elementwise for an array of b > 0: the formulas of
+    ``special.shape_b1`` and ``special.shape_b2``, the tail series beyond the
+    cutoff."""
+    b_sq = b * b
+    at = np.arctan2(1.0, b)
+    b1 = 1.0 / b_sq + (1.0 - b_sq) / (b_sq * b) * at
+    b2 = -1.0 / (1.0 + b_sq) + at / b
+    tail = b > _B_SERIES_CUTOFF
+    if tail.any():
+        u = 1.0 / b_sq[tail]
+        # Rows u^2 .. u^13, by the same repeated products as special._tail_series.
+        powers = np.cumprod(np.broadcast_to(u, (len(_B1_TAIL) + 1, u.size)), axis=0)[1:]
+        b1[tail], b2[tail] = _TAILS @ powers
+    return b1, b2
+
+
+def _endpoints(material: Material, theta: float, omegas: Sequence[float]) -> np.ndarray:
+    """(I1, I2) of ``impurity.spectral_endpoints`` at every omega, shape
+    (2, len(omegas)).
+
+    One quadrature pass evaluates both integrands, at both ends of the
+    momentum window, for many frequencies at once.
+    """
+    kappa = math.sqrt(2.0 * material.m_perp * theta) / HBAR
+    r_D = material.require_r_D()
+    b0_sq = material.m_perp / material.mass_contrast
+    inv_rd_sq = 1.0 / (r_D * r_D)
+
+    def sums(x: np.ndarray, s: np.ndarray) -> np.ndarray:
+        roots = np.sqrt(x + s) + np.sqrt(x)
+        # q_min = kappa (sqrt(x+s) - sqrt(x)), rationalized: no cancellation at tiny s
+        q = kappa * np.array((roots, s / roots))
+        b1, b2 = _shape_b12(np.sqrt(b0_sq * (1.0 + inv_rd_sq / (q * q))))
+        return np.array((b1[0] + b1[1], b2[0] + b2[1]))
+
+    s = HBAR * np.asarray(omegas, dtype=float) / theta
+    return _integrate(sums, s, DEFAULT_QUADRATURE.rel_tol)[0]
+
+
+def _pow2(s: np.ndarray) -> np.ndarray:
+    """The power of two that divides max(s, 1) into [1, 2)."""
+    return np.ldexp(0.5, np.frexp(np.maximum(s, 1.0))[1])
+
+
+def _moment(x: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """g = (2x + s) x (x + s), its two factors of size s divided by
+    :func:`_pow2` (exactly), so that g stays in range for every finite s."""
+    c = _pow2(s)
+    return ((2.0 * x + s) / c * x * ((x + s) / c))[None]
+
+
+def _kernels(s: Sequence[float]) -> list[float]:
+    """e^a a^2 K2(a) at every s = 2a of ``s``: half the energy integral of
+    ``acoustic``, in one quadrature call, unscaled in Python floats, so that a
+    kernel beyond double range (s above ~5e205, or s = inf) is inf without a
+    floating-point trap."""
+    s = np.minimum(s, sys.float_info.max)
+    values = _integrate(_moment, s, DEFAULT_QUADRATURE.rel_tol)[0][0].tolist()
+    return [0.5 * value * c * c for value, c in zip(values, _pow2(s).tolist())]
+
+
+@functools.lru_cache(maxsize=64)
+def _kernel(s: float) -> float:
+    """:func:`_kernels` at one s, memoized: a phi sweep asks for it at every row."""
+    return _kernels([s])[0]

@@ -1,10 +1,13 @@
 """Closed-form kernels: the screened-Coulomb angular factors B1/B2, the
 unscreened polarization function Psi(inf) and the Conwell-Weisskopf
-logarithm.  The screened shape function Psi and the shape parameter b, which
+logarithm, in scalar Python: the closed forms evaluate them without numpy.
+The array form of B1/B2 that the general impurity integrand evaluates,
+``quadrature._shape_b12``, lives with the numpy core and sums the same tail
+series.  The screened shape function Psi and the shape parameter b, which
 only the oracles evaluate, live in ``oracles``.
 
 The modified Bessel functions K0/K1/K2 below are on no computational path:
-the acoustic kernel is computed by quadrature, in ``acoustic``.  They serve
+the acoustic kernel is computed by quadrature, in ``quadrature``.  They serve
 only the benchmark harness in ``perfbench/``, which counts their calls and
 times ``bessel_k2e``, and leave with ROADMAP item 1.  They are scipy's
 scaled ``kve``, imported on the first call, with the Hankel form beyond
@@ -16,8 +19,6 @@ from __future__ import annotations
 import functools
 import math
 from typing import TYPE_CHECKING
-
-import numpy as np
 
 from .constants import EULER_GAMMA
 from .errors import RegimeError
@@ -53,7 +54,6 @@ _B_SERIES_CUTOFF = 8.0
 # c_k = (-1)^k (4k+4)/((2k+1)(2k+3)) for B1 and (-1)^k (2k+2)/(2k+3) for B2.
 _B1_TAIL = tuple((-1.0) ** k * (4.0 * k + 4.0) / ((2 * k + 1) * (2 * k + 3)) for k in range(12))
 _B2_TAIL = tuple((-1.0) ** k * (2.0 * k + 2.0) / (2 * k + 3) for k in range(12))
-_TAILS = np.array((_B1_TAIL, _B2_TAIL))
 
 
 def _tail_series(coeffs: tuple[float, ...], u: float) -> float:
@@ -85,22 +85,6 @@ def shape_b2(b: float) -> float:
         return _tail_series(_B2_TAIL, 1.0 / (b * b))
     at = math.atan2(1.0, b)
     return -1.0 / (1.0 + b * b) + at / b
-
-
-def _shape_b12(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(B1(b), B2(b)) elementwise for an array of b > 0: the formulas of
-    :func:`shape_b1` and :func:`shape_b2`, the tail series beyond the cutoff."""
-    b_sq = b * b
-    at = np.arctan2(1.0, b)
-    b1 = 1.0 / b_sq + (1.0 - b_sq) / (b_sq * b) * at
-    b2 = -1.0 / (1.0 + b_sq) + at / b
-    tail = b > _B_SERIES_CUTOFF
-    if tail.any():
-        u = 1.0 / b_sq[tail]
-        # Rows u^2 .. u^13, by the same repeated products as _tail_series.
-        powers = np.cumprod(np.broadcast_to(u, (len(_B1_TAIL) + 1, u.size)), axis=0)[1:]
-        b1[tail], b2[tail] = _TAILS @ powers
-    return b1, b2
 
 
 def psi_infinity(cos2phi: float, material: "Material") -> float:

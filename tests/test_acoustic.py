@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 import multivalley as mv
-from multivalley import acoustic
-from multivalley.acoustic import _kernel, _kernels, mobility_acoustic, tau_acoustic
+from multivalley import quadrature
+from multivalley.acoustic import mobility_acoustic, tau_acoustic
 from multivalley.constants import HBAR
 from multivalley.errors import RegimeError
 from multivalley.impurity import mobility_impurity, relaxation_impurity
+from multivalley.quadrature import _kernel, _kernels
 
 
 def omega_for_a(a, theta):
@@ -126,13 +127,13 @@ def kernel_calls(monkeypatch):
     """The s arrays of every quadrature call the acoustic kernel makes, with
     the single-frequency memo emptied first."""
     calls = []
-    integrate = acoustic._integrate
+    integrate = quadrature._integrate
 
     def counting(g, s, rel_tol):
         calls.append(s.copy())
         return integrate(g, s, rel_tol)
 
-    monkeypatch.setattr(acoustic, "_integrate", counting)
+    monkeypatch.setattr(quadrature, "_integrate", counting)
     _kernel.cache_clear()
     yield calls
     _kernel.cache_clear()

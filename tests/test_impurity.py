@@ -12,7 +12,6 @@ from multivalley.constants import C_LIGHT, E_CHARGE, HBAR
 from multivalley.errors import RegimeError
 from multivalley.geometry import cos_phi, incident_flux
 from multivalley.impurity import (
-    _endpoints,
     combine_endpoints,
     mobility_impurity,
     p_plus,
@@ -21,6 +20,7 @@ from multivalley.impurity import (
     x_min,
 )
 from multivalley.oracles import b_param, psi
+from multivalley.quadrature import _endpoints
 from multivalley.special import coulomb_log, psi_infinity, shape_b1, shape_b2
 
 

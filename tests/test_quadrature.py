@@ -189,11 +189,12 @@ class TestImportPath:
         assert _fresh_python(code, checkout_env) == "False"
 
     def test_scipy_not_imported(self, checkout_env):
-        # scipy is a test dependency only; neither it nor the other heavy
-        # modules may load with the package or the CLI
+        # scipy is a test dependency only, and numpy loads with the general
+        # regime's first call; neither they nor the other heavy modules may
+        # load with the package or the CLI
         code = (
             "import sys, multivalley, multivalley.cli\n"
-            "heavy = ('scipy', 'concurrent.futures', 'unittest', 'numpy.testing')\n"
+            "heavy = ('numpy', 'scipy', 'concurrent.futures', 'unittest', 'numpy.testing')\n"
             "print(sorted(m for m in sys.modules if m in heavy or m.startswith('scipy.')))"
         )
         assert _fresh_python(code, checkout_env) == "[]"

@@ -5,12 +5,11 @@ import numpy as np
 import pytest
 
 import multivalley as mv
-from multivalley.acoustic import _kernel
 from multivalley.constants import EULER_GAMMA
 from multivalley.errors import RegimeError
 from multivalley.oracles import b_param, psi
+from multivalley.quadrature import _kernel, _shape_b12
 from multivalley.special import (
-    _shape_b12,
     bessel_k0,
     bessel_k0e,
     bessel_k1,
