@@ -31,24 +31,11 @@ from .constants import C_LIGHT, E_CHARGE, HBAR
 from .geometry import Material, Polarization, Terms, ValleySet, _populated
 from .modes import Mechanism, Observable, Regime, check_window, spectral_core
 
-__all__ = [
-    "tau_acoustic",
-    "absorption_acoustic",
-    "mobility_acoustic",
-    "CLASSICAL_COEFF_ACOUSTIC",
-]
+__all__ = ["absorption_acoustic", "CLASSICAL_COEFF_ACOUSTIC"]
 
 _GENERAL_COEFF = 16.0 * math.sqrt(math.pi) / 3.0
 CLASSICAL_COEFF_ACOUSTIC = 32.0 * math.sqrt(math.pi) / 3.0
 _QUANTUM_COEFF = 4.0 * math.pi / 3.0
-_MOBILITY_COEFF = 4.0 / (3.0 * math.sqrt(math.pi))
-
-
-def tau_acoustic(epsilon: float, theta: float, tau0: float) -> float:
-    """Acoustic relaxation time tau0 * sqrt(theta/epsilon) at energy epsilon."""
-    if epsilon <= 0.0 or theta <= 0.0 or tau0 <= 0.0:
-        raise ValueError("epsilon, theta and tau0 must be positive")
-    return tau0 * math.sqrt(theta / epsilon)
 
 
 def _tensor_pair(material: Material) -> tuple[float, float]:
@@ -140,12 +127,3 @@ def absorption_acoustic(
     from .emission import _value  # at call time: emission imports this module
 
     return _value(Mechanism.ACOUSTIC, Observable.ABSORPTION, valleys, material, omega, pol, regime)
-
-
-def mobility_acoustic(material: Material, theta: float) -> tuple[float, float]:
-    """(mu_perp, mu_par) = (4/(3 sqrt(pi))) e0 tau_alpha(theta)/m_alpha."""
-    tau_perp = tau_acoustic(theta, theta, material.tau_perp0)
-    tau_par = tau_acoustic(theta, theta, material.tau_par0)
-    mu_perp = _MOBILITY_COEFF * E_CHARGE * tau_perp / material.m_perp
-    mu_par = _MOBILITY_COEFF * E_CHARGE * tau_par / material.m_par
-    return mu_perp, mu_par

@@ -3,7 +3,9 @@
 The config document is plain JSON.  User-facing units (electron-mass
 multiples, eV or kelvin, cm^-3) are converted to internal CGS exactly once,
 here.  Sweeps evaluate either a frequency grid at fixed polarization or a
-polarization rotation at fixed frequency.
+polarization rotation at fixed frequency.  The parser checks JSON types and
+field paths; ``SweepSpec``, like ``Valley`` and ``Material``, checks its own
+domain, so a hand-built sweep is refused as a parsed one is.
 
 The per-valley terms of the observables come from ``emission._terms``, over
 the whole grid of an omega sweep or at each row of a phi sweep; with
@@ -44,8 +46,14 @@ from .modes import Mechanism, Observable, Regime, parse
 __all__ = ["SweepSpec", "RunConfig", "SweepResult", "parse_config", "run_sweep", "write_csv"]
 
 
+# The grid and every row of a sweep are held in memory at once.
+_MAX_SWEEP_POINTS = 1_000_000
+
+
 @dataclass(frozen=True)
 class SweepSpec:
+    """A frequency or polarization sweep; ConfigError if outside its domain."""
+
     kind: str                      # "omega" | "phi"
     minimum: float
     maximum: float
@@ -54,14 +62,43 @@ class SweepSpec:
     omega: float | None = None     # fixed frequency for phi sweeps
     plane: tuple[tuple[float, float, float], tuple[float, float, float]] | None = None
 
+    def __post_init__(self) -> None:
+        if self.kind not in ("omega", "phi"):
+            raise ConfigError(f"sweep.kind: expected 'omega' or 'phi', got {self.kind!r}")
+        if not self.maximum > self.minimum:
+            raise ConfigError(f"sweep: max ({self.maximum}) must exceed min ({self.minimum})")
+        if not isinstance(self.points, int) or isinstance(self.points, bool) or self.points < 2:
+            raise ConfigError(f"sweep.points: expected an integer >= 2, got {self.points!r}")
+        if self.points > _MAX_SWEEP_POINTS:
+            raise ConfigError(
+                f"sweep.points: at most {_MAX_SWEEP_POINTS} grid points, got {self.points}"
+            )
+        if self.scale not in ("log", "linear"):
+            raise ConfigError(f"sweep.scale: expected 'log' or 'linear', got {self.scale!r}")
+        if self.scale == "log" and self.minimum <= 0.0:
+            raise ConfigError("sweep.min: must be positive for a log scale")
+        if self.kind == "omega":
+            check_omega(self.minimum, "sweep.min")
+            check_omega(self.maximum, "sweep.max")
+            return
+        if self.omega is None:
+            raise ConfigError("sweep.omega: required field is missing")
+        check_omega(self.omega, "sweep.omega")
+        if self.plane is None:
+            raise ConfigError("sweep.plane: a phi sweep needs a plane")
+
     def grid(self) -> list[float]:
-        """The sweep's points, by the algorithm of numpy's ``linspace`` and
-        ``geomspace``: exact ends, and k*step + min between them, on the
-        log10 scale for a log grid."""
-        if self.scale == "log":
-            exponents = _linspace(math.log10(self.minimum), math.log10(self.maximum), self.points)
-            return [self.minimum, *(10.0**e for e in exponents[1:-1]), self.maximum]
-        return _linspace(self.minimum, self.maximum, self.points)
+        return _grid(self.scale, self.minimum, self.maximum, self.points)
+
+
+def _grid(scale: str, minimum: float, maximum: float, points: int) -> list[float]:
+    """The sweep's points, by the algorithm of numpy's ``linspace`` and
+    ``geomspace``: exact ends, and k*step + min between them, on the
+    log10 scale for a log grid."""
+    if scale == "log":
+        exponents = _linspace(math.log10(minimum), math.log10(maximum), points)
+        return [minimum, *(10.0**e for e in exponents[1:-1]), maximum]
+    return _linspace(minimum, maximum, points)
 
 
 def _linspace(start: float, stop: float, num: int) -> list[float]:
@@ -193,33 +230,16 @@ def _parse_valleys(doc) -> ValleySet:
     raise ConfigError(f"{path}: expected a preset object or a list of valleys")
 
 
-# The grid and every row of a sweep are held in memory at once.
-_MAX_SWEEP_POINTS = 1_000_000
-
-
 def _parse_sweep(doc: dict) -> SweepSpec:
     path = "sweep"
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: expected an object")
     kind = _require(doc, "kind", path)
-    if kind not in ("omega", "phi"):
-        raise ConfigError(f"{path}.kind: expected 'omega' or 'phi', got {kind!r}")
     minimum = _number(_require(doc, "min", path), f"{path}.min")
     maximum = _number(_require(doc, "max", path), f"{path}.max")
-    if not maximum > minimum:
-        raise ConfigError(f"{path}: max ({maximum}) must exceed min ({minimum})")
     points = _require(doc, "points", path)
-    if not isinstance(points, int) or isinstance(points, bool) or points < 2:
-        raise ConfigError(f"{path}.points: expected an integer >= 2, got {points!r}")
-    if points > _MAX_SWEEP_POINTS:
-        raise ConfigError(f"{path}.points: at most {_MAX_SWEEP_POINTS} grid points, got {points}")
     scale = doc.get("scale", "log" if kind == "omega" else "linear")
-    if scale not in ("log", "linear"):
-        raise ConfigError(f"{path}.scale: expected 'log' or 'linear', got {scale!r}")
-    if scale == "log" and minimum <= 0.0:
-        raise ConfigError(f"{path}.min: must be positive for a log scale")
-    omega = None
-    plane = None
+    omega = plane = None
     if kind == "phi":
         omega = _number(_require(doc, "omega", path), f"{path}.omega")
         raw_plane = doc.get("plane", [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
@@ -235,18 +255,8 @@ def _parse_sweep(doc: dict) -> SweepSpec:
         if norm < 1e-12:
             raise ConfigError(f"{path}.plane: the two vectors must be independent")
         plane = (e1, tuple(v / norm for v in e2))
-    ends = (("min", minimum), ("max", maximum)) if kind == "omega" else (("omega", omega),)
-    for key, value in ends:
-        check_omega(value, f"{path}.{key}")
-    return SweepSpec(
-        kind=kind,
-        minimum=minimum,
-        maximum=maximum,
-        points=points,
-        scale=scale,
-        omega=omega,
-        plane=plane,
-    )
+    return SweepSpec(kind=kind, minimum=minimum, maximum=maximum, points=points, scale=scale,
+                     omega=omega, plane=plane)
 
 
 def _choice(doc: dict, key: str, default: Enum) -> Enum:
@@ -259,8 +269,8 @@ def parse_config(text: str) -> RunConfig:
 
     Raises ConfigError with the offending field path on any schema or
     mass-ordering violation, and on any value the data model refuses (a
-    Valley, the Material, or a frequency outside ``geometry.check_omega``'s
-    range).  A missing material.r_D is filled from the total electron
+    Valley, the Material, or the SweepSpec, whose frequencies must lie in
+    ``geometry.check_omega``'s range).  A missing material.r_D is filled from the total electron
     concentration via the Debye formula.
     """
     try:

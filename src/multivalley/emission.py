@@ -17,7 +17,7 @@ unit volume, and the mode density is omega^2/(2 pi c)^3, so
 the same factor for both mechanisms.  With K_i = (1 - e^{-s_i}) r_i, e^{-s_i}
 r_i is K_i times the Bose factor 1/(e^{s_i} - 1).  So emission has no formula
 of its own: in every regime it projects the absorption side with that factor
-and the regime's Bose factor (``_BOSE``), quantum acoustic emission being the
+and the regime's weight in ``_WEIGHTS``, quantum acoustic emission being the
 one exception (:func:`_quantum_acoustic`).
 
 Output convention: ``dW_dOmega`` is energy per unit time, per steradian, per
@@ -36,8 +36,7 @@ from typing import Iterator, Sequence
 from . import acoustic, impurity
 from .constants import C_LIGHT, E_CHARGE, HBAR
 from .geometry import (
-    Material, Polarization, Terms, ValleySet, _absorbed, _observe, _populated, _weighted,
-    check_omega,
+    Material, Polarization, Terms, ValleySet, _observe, _populated, check_omega,
 )
 
 # Re-exported: perfbench/tracing.py looks p_plus up in this module.
@@ -85,24 +84,35 @@ def mode_density(omega: float, volume: float) -> float:
     return volume * omega**2 / (2.0 * math.pi * C_LIGHT) ** 3
 
 
-# The Bose factor 1/(e^{s} - 1) that turns a valley's absorption into its
-# emission.  The general regime applies it exactly, to the rates
-# r_i = K_i/(1 - e^{-s_i}), as e^{-s_i}; the closed forms know only K_i and
-# apply its asymptote, 1/s_i for s_i << 1 or e^{-s_i} for s_i >> 1.
-_BOSE = {
-    Regime.GENERAL: lambda s: math.exp(-s),
-    Regime.CLASSICAL: lambda s: 1.0 / s,
-    Regime.QUANTUM: lambda s: math.exp(-s),
+# The weight of each valley's source term in an observable, a function of
+# s_i = hbar omega/theta_i.  The general source is the rate r_i before
+# stimulated emission: absorption weighs it with 1 - e^{-s_i}, emission with
+# e^{-s_i}.  A closed form's source already is K_i, so its absorption has no
+# entry, and its emission applies the asymptote of the Bose factor
+# 1/(e^{s_i} - 1): 1/s_i for s_i << 1, e^{-s_i} for s_i >> 1.
+_WEIGHTS = {
+    (Regime.GENERAL, Observable.ABSORPTION): lambda s: -math.expm1(-s),
+    (Regime.GENERAL, Observable.EMISSION): lambda s: math.exp(-s),
+    (Regime.CLASSICAL, Observable.EMISSION): lambda s: 1.0 / s,
+    (Regime.QUANTUM, Observable.EMISSION): lambda s: math.exp(-s),
 }
 
 
-def _emitted(terms: Terms, material: Material, omega: float, regime: Regime) -> Terms:
-    """Emission terms by Kirchhoff's law: each w_i times the regime's Bose
-    factor, and the factor times the flux of one photon times the mode
-    density, hbar omega^3 sqrt(eps0)/(8 pi^3 c^2)."""
-    factor, per_valley = _weighted(terms, omega, _BOSE[regime])
-    kirchhoff = HBAR * omega**3 * math.sqrt(material.eps0) / (8.0 * math.pi**3 * C_LIGHT**2)
-    return factor * kirchhoff, per_valley
+def _weigh(
+    source: Terms, material: Material, omega: float, regime: Regime, observable: Observable,
+) -> Terms:
+    """The terms of ``observable`` from its source: each w_i times its weight
+    in ``_WEIGHTS``, and for emission (Kirchhoff's law) the factor times the
+    flux of one photon times the mode density,
+    hbar omega^3 sqrt(eps0)/(8 pi^3 c^2)."""
+    weight = _WEIGHTS.get((regime, observable))
+    if weight is None:
+        return source
+    factor, per_valley = source
+    per_valley = [(v, w * weight(HBAR * omega / v.theta), rp, rl) for v, w, rp, rl in per_valley]
+    if observable is Observable.EMISSION:
+        factor *= HBAR * omega**3 * math.sqrt(material.eps0) / (8.0 * math.pi**3 * C_LIGHT**2)
+    return factor, per_valley
 
 
 def _quantum_acoustic(valleys: ValleySet, material: Material, omega: float) -> Terms:
@@ -148,11 +158,7 @@ def _terms(
                 Regime.QUANTUM: module._quantum_absorption}[regime]
         sources = (form(valleys, material, omega) for omega in omegas)
     for omega, source in zip(omegas, sources):
-        absorbed = _absorbed(source, omega) if regime is Regime.GENERAL else source
-        yield [
-            absorbed if o is Observable.ABSORPTION else _emitted(source, material, omega, regime)
-            for o in observables
-        ]
+        yield [_weigh(source, material, omega, regime, o) for o in observables]
 
 
 def _value(

@@ -16,12 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .constants import (
     C_LIGHT,
     E_CHARGE,
-    HBAR,
     K_BOLTZMANN,
     mass_from_me,
     theta_from_ev,
@@ -65,8 +64,10 @@ def check_omega(omega: float, name: str = "omega") -> None:
 
 
 def _check_unit(vec: tuple[float, float, float], name: str) -> None:
+    if len(vec) != 3:
+        raise ConfigError(f"{name} must have 3 components, got {len(vec)}")
     norm = math.sqrt(vec[0] ** 2 + vec[1] ** 2 + vec[2] ** 2)
-    if abs(norm - 1.0) > _UNIT_NORM_TOL:
+    if not abs(norm - 1.0) <= _UNIT_NORM_TOL:  # NaN fails too
         raise ConfigError(f"{name} must be a unit vector; |{name}| = {norm!r}")
 
 
@@ -308,8 +309,8 @@ def cos_phi(valley: Valley, pol: Polarization) -> float:
 # populated valleys of a weight w_i times a polarization-independent pair
 # (r_perp_i, r_par_i): the valley's values for polarization across and along
 # its axis.  Terms are (factor, [(valley, w_i, r_perp_i, r_par_i), ...]);
-# rates are terms of unit weight, before an observable's weight, a function
-# of s_i = hbar*omega/theta_i.  The factor is applied once, after the sum, so
+# rates are terms of unit weight, before an observable's weight
+# (``emission._WEIGHTS``), a function of s_i = hbar*omega/theta_i.  The factor is applied once, after the sum, so
 # that tiny weights such as e^{-s_i} meet the large pairs while both are
 # still far from underflow.
 Terms = tuple[float, list[tuple]]
@@ -345,17 +346,6 @@ def _observe(terms: Terms, pol: Polarization, observable: Observable, omega: flo
             f"{_COLUMNS[observable]} is {value} at omega = {omega:.6e} rad/s"
         )
     return value
-
-
-def _weighted(terms: Terms, omega: float, weight: Callable[[float], float]) -> Terms:
-    """The terms with each w_i multiplied by weight(s_i), s_i = hbar omega/theta_i."""
-    factor, per_valley = terms
-    return factor, [(v, w * weight(HBAR * omega / v.theta), rp, rl) for v, w, rp, rl in per_valley]
-
-
-def _absorbed(rates: Terms, omega: float) -> Terms:
-    """Absorption terms: each rate net of stimulated emission, w_i = 1 - e^{-s_i}."""
-    return _weighted(rates, omega, lambda s: -math.expm1(-s))
 
 
 def debye_radius(eps0: float, theta: float, n_total: float) -> float:

@@ -41,7 +41,7 @@ from .geometry import (
 from .modes import (
     QUANTUM_SCREENING_MIN, Mechanism, Observable, Regime, check_window, spectral_core,
 )
-from .special import coulomb_log, shape_b1, shape_b2
+from .special import coulomb_log, psi_infinity
 
 __all__ = [
     "RelaxationTensor",
@@ -49,7 +49,6 @@ __all__ = [
     "p_plus",
     "absorption_impurity",
     "relaxation_impurity",
-    "mobility_impurity",
     "spectral_endpoints",
     "combine_endpoints",
     "CLASSICAL_COEFF",
@@ -61,7 +60,6 @@ _GENERAL_COEFF = (2.0 * math.pi) ** 1.5
 # Quantum limit of the general form: the spectral integral tends to
 # 2 sqrt(pi/s) Psi(inf), which turns (2 pi)^{3/2} into 2^{5/2} pi^2.
 _QUANTUM_COEFF = 2.0**2.5 * math.pi**2
-_MOBILITY_COEFF = 8.0 / math.sqrt(math.pi)
 
 
 @dataclass(frozen=True)
@@ -201,8 +199,7 @@ def _quantum_absorption(valleys: ValleySet, material: Material, omega: float) ->
     times it would overflow above ~3e99 rad/s."""
     check_quantum_impurity(valleys, material, omega)
     pref = _QUANTUM_COEFF * _collision_scale(material) / omega**2
-    b0 = math.sqrt(material.m_perp / material.mass_contrast)
-    psi_perp, psi_par = shape_b1(b0), 2.0 * (material.m_perp / material.m_par) * shape_b2(b0)
+    psi_perp, psi_par = psi_infinity(0.0, material), psi_infinity(1.0, material)
     energy = (HBAR * omega) ** 1.5
     return pref, [(v, v.n / energy, psi_perp, psi_par) for v in _populated(valleys)]
 
@@ -250,11 +247,3 @@ def relaxation_impurity(material: Material, theta: float) -> RelaxationTensor:
     inv_tau_perp = base / material.m_perp * 0.5 * b0 * (b0 + (1.0 - b0 * b0) * at)
     inv_tau_par = base / material.m_par * b0 * (-b0 + (1.0 + b0 * b0) * at)
     return RelaxationTensor(tau_perp=1.0 / inv_tau_perp, tau_par=1.0 / inv_tau_par)
-
-
-def mobility_impurity(material: Material, theta: float) -> tuple[float, float]:
-    """(mu_perp, mu_par) = (8/sqrt(pi)) e0 tau_alpha / m_alpha, CGS units."""
-    tau = relaxation_impurity(material, theta)
-    mu_perp = _MOBILITY_COEFF * E_CHARGE * tau.tau_perp / material.m_perp
-    mu_par = _MOBILITY_COEFF * E_CHARGE * tau.tau_par / material.m_par
-    return mu_perp, mu_par

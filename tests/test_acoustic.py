@@ -7,36 +7,14 @@ import pytest
 
 import multivalley as mv
 from multivalley import quadrature
-from multivalley.acoustic import mobility_acoustic, tau_acoustic
 from multivalley.constants import HBAR
 from multivalley.errors import RegimeError
-from multivalley.impurity import mobility_impurity, relaxation_impurity
+from multivalley.impurity import relaxation_impurity
 from multivalley.quadrature import _kernel, _kernels
 
 
 def omega_for_a(a, theta):
     return 2.0 * a * theta / HBAR
-
-
-class TestTauAcoustic:
-    def test_unit_ratio(self):
-        assert tau_acoustic(2.0e-14, 2.0e-14, 1.3e-12) == 1.3e-12
-
-    def test_inverse_square_root(self):
-        theta = 4.0e-14
-        assert tau_acoustic(4.0 * theta, theta, 1e-12) == pytest.approx(
-            tau_acoustic(theta, theta, 1e-12) / 2.0, rel=1e-14, abs=0
-        )
-
-    def test_normalization_at_own_temperature(self):
-        # tau evaluated at eps = theta_i is the bare prefactor
-        for tau0 in (3e-13, 1e-12):
-            theta = 5.2e-14
-            assert tau_acoustic(theta, theta, tau0) == tau0
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            tau_acoustic(0.0, 1e-14, 1e-12)
 
 
 class TestAbsorptionAcoustic:
@@ -176,32 +154,3 @@ class TestKernelReuse:
         batched = _kernels(s)
         for s_j, value in zip(s.tolist(), batched):
             assert value == pytest.approx(_kernels(np.array([s_j]))[0], rel=2e-15, abs=0)
-
-
-class TestMobilityAcoustic:
-    def test_coefficient_ratio_to_impurity(self, ge_material, theta_300):
-        # (4/(3 sqrt(pi))) / (8/sqrt(pi)) = 1/6 at equal tau
-        tau = relaxation_impurity(ge_material, theta_300)
-        mat = dataclasses.replace(
-            ge_material, tau_perp0=tau.tau_perp, tau_par0=tau.tau_par
-        )
-        mu_imp = mobility_impurity(mat, theta_300)
-        mu_ac = mobility_acoustic(mat, theta_300)
-        assert mu_ac[0] / mu_imp[0] == pytest.approx(1.0 / 6.0, rel=1e-13, abs=0)
-        assert mu_ac[1] / mu_imp[1] == pytest.approx(1.0 / 6.0, rel=1e-13, abs=0)
-
-    def test_linear_in_tau(self, ge_material, theta_300):
-        mu = mobility_acoustic(ge_material, theta_300)
-        doubled = dataclasses.replace(
-            ge_material,
-            tau_perp0=2.0 * ge_material.tau_perp0,
-            tau_par0=2.0 * ge_material.tau_par0,
-        )
-        mu2 = mobility_acoustic(doubled, theta_300)
-        assert mu2[0] == pytest.approx(2.0 * mu[0], rel=1e-14)
-        assert mu2[1] == pytest.approx(2.0 * mu[1], rel=1e-14)
-
-    def test_finite_positive(self, ge_material, theta_300):
-        mu_perp, mu_par = mobility_acoustic(ge_material, theta_300)
-        assert 0.0 < mu_perp < math.inf
-        assert 0.0 < mu_par < math.inf

@@ -180,3 +180,39 @@ def test_window_refusal_names_omega(tmp_path, ge4, function, regime, relation):
 def test_screening_refusal_names_omega(tmp_path, ge4, function):
     message = "quantum impurity form needs (q_omega r_D)^2 >= 1000, got 1.417e+00"
     assert_regime_refusal(tmp_path, ge4, function, "quantum", 1e15, 1e-7, message)
+
+
+def sweep(**overrides):
+    """Run a valid phi sweep with ``overrides`` applied by hand, not by the parser."""
+    doc = ge4_doc(sweep={"kind": "phi", "min": 0.0, "max": 1.5, "points": 3, "omega": 1e13})
+    config = mv.parse_config(json.dumps(doc))
+    return mv.run_sweep(dataclasses.replace(
+        config, sweep=dataclasses.replace(config.sweep, **overrides)))
+
+
+LOG_OMEGA = {"kind": "omega", "scale": "log", "minimum": 1e12, "maximum": 1e13, "omega": None,
+             "plane": None}
+
+
+@pytest.mark.parametrize("build", [
+    lambda: sweep(points=1),
+    lambda: sweep(**dict(LOG_OMEGA, maximum=1e200)),
+    lambda: sweep(omega=1e200),
+    lambda: sweep(**dict(LOG_OMEGA, minimum=-1.0)),
+    lambda: sweep(omega=0.0),
+    lambda: sweep(omega=math.nan),
+    lambda: sweep(kind="freq"),
+    lambda: sweep(omega=None),
+    lambda: sweep(plane=None),
+    lambda: sweep(minimum=2.0, maximum=1.0),
+    lambda: sweep(scale="lin"),
+    lambda: mv.Valley(axis=(math.nan, 0.0, 0.0), n=1e16, theta=mv.theta_from_kelvin(300.0)),
+    lambda: mv.Polarization(q0=(math.nan, 0.0, 0.0)),
+    lambda: mv.Polarization(q0=(1.0, 0.0, 0.0, 5.0)),
+    lambda: mv.Polarization(q0=(1.0, 0.0)),
+], ids=["points-1", "max-1e200", "phi-omega-1e200", "log-min-negative", "phi-omega-0",
+        "phi-omega-nan", "kind-freq", "phi-no-omega", "phi-no-plane", "max-below-min",
+        "scale-lin", "axis-nan", "q0-nan", "q0-four-components", "q0-two-components"])
+def test_hand_built_value_is_refused(build):
+    # the data model refuses them, not only the parser
+    library_raises_config_error(build)

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from multivalley import Polarization, parse_config
-from multivalley.config import SweepSpec
+from multivalley.config import _grid
 
 try:
     from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
@@ -29,7 +29,7 @@ except ImportError:  # numpy < 2
 
 
 def grid(scale: str, lo: float, hi: float, points: int) -> list[float]:
-    return SweepSpec(kind="omega", minimum=lo, maximum=hi, points=points, scale=scale).grid()
+    return _grid(scale, lo, hi, points)
 
 
 def linear_cases(count: int, seed: int = 11):

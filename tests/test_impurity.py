@@ -13,7 +13,6 @@ from multivalley.errors import RegimeError
 from multivalley.geometry import cos_phi, incident_flux
 from multivalley.impurity import (
     combine_endpoints,
-    mobility_impurity,
     p_plus,
     relaxation_impurity,
     spectral_endpoints,
@@ -287,6 +286,12 @@ class TestRelaxationTensor:
         assert doubled.tau_perp == pytest.approx(tau.tau_perp / 2.0, rel=1e-14, abs=0)
         assert doubled.tau_par == pytest.approx(tau.tau_par / 2.0, rel=1e-14, abs=0)
 
+    def test_reference_values(self, ge_material, theta_300):
+        # frozen arbitrary-precision evaluation for the fixture material
+        tau = relaxation_impurity(ge_material, theta_300)
+        assert tau.tau_perp == pytest.approx(1.2917939094928605e-12, rel=1e-12, abs=0)
+        assert tau.tau_par == pytest.approx(1.5921127582635316e-11, rel=1e-12, abs=0)
+
     def test_temperature_scaling(self, ge_material, theta_300):
         # tau ~ theta^{3/2} / L(x_min(theta)); two-point arithmetic check
         t1, t2 = theta_300, 2.0 * theta_300
@@ -326,38 +331,6 @@ class TestRelaxationTensor:
             )
         )
         assert k_tensor == pytest.approx(k_psi, rel=1e-12)
-
-
-class TestMobility:
-    def test_component_ratio(self, ge_material, theta_300):
-        tau = relaxation_impurity(ge_material, theta_300)
-        mu_perp, mu_par = mobility_impurity(ge_material, theta_300)
-        assert mu_perp / mu_par == pytest.approx(
-            tau.tau_perp * ge_material.m_par / (tau.tau_par * ge_material.m_perp),
-            rel=1e-14, abs=0,
-        )
-
-    def test_linear_in_tau(self, ge_material, theta_300):
-        # halving n_a doubles tau, and mobility follows
-        mu_perp, mu_par = mobility_impurity(ge_material, theta_300)
-        half = dataclasses.replace(ge_material, n_a=ge_material.n_a / 2.0)
-        mu_perp2, mu_par2 = mobility_impurity(half, theta_300)
-        assert mu_perp2 == pytest.approx(2.0 * mu_perp, rel=1e-14)
-        assert mu_par2 == pytest.approx(2.0 * mu_par, rel=1e-14)
-
-    def test_finite_positive(self, ge_material, theta_300):
-        mu_perp, mu_par = mobility_impurity(ge_material, theta_300)
-        assert 0.0 < mu_perp < math.inf
-        assert 0.0 < mu_par < math.inf
-
-    def test_reference_values(self, ge_material, theta_300):
-        # frozen arbitrary-precision evaluation for the fixture material
-        tau = relaxation_impurity(ge_material, theta_300)
-        assert tau.tau_perp == pytest.approx(1.2917939094928605e-12, rel=1e-12, abs=0)
-        assert tau.tau_par == pytest.approx(1.5921127582635316e-11, rel=1e-12, abs=0)
-        mu_perp, mu_par = mobility_impurity(ge_material, theta_300)
-        assert mu_perp == pytest.approx(37491817.133875188, rel=1e-12)
-        assert mu_par == pytest.approx(23830535.857978311, rel=1e-12)
 
 
 class TestEndpointDecomposition:

@@ -21,12 +21,10 @@ PERFBENCH = ROOT / "perfbench"
 DROPPED = {
     "constants": ["C_LIGHT", "E_CHARGE", "EULER_GAMMA", "HBAR", "K_BOLTZMANN", "M_ELECTRON"],
     "quadrature": ["DEFAULT_QUADRATURE", "QuadratureSpec"],
-    "impurity": ["RelaxationTensor", "mobility_impurity", "p_plus", "relaxation_impurity",
-                 "x_min"],
+    "impurity": ["RelaxationTensor", "p_plus", "relaxation_impurity", "x_min"],
     "special": ["bessel_k0", "bessel_k1", "bessel_k2", "coulomb_log", "psi_infinity",
                 "shape_b1", "shape_b2"],
     "geometry": ["cos_phi", "debye_radius", "incident_flux"],
-    "acoustic": ["mobility_acoustic", "tau_acoustic"],
     "emission": ["mode_density", "photon_amplitude"],
     "oracles": ["ShapeParams", "b_param", "psi", "integrate_unit_sphere"],
 }
