@@ -50,12 +50,12 @@ def _tensor_pair(material: Material) -> tuple[float, float]:
     )
 
 
-def check_classical_acoustic(valleys: ValleySet, omega: float) -> None:
-    check_window(valleys, omega, Regime.CLASSICAL, "acoustic")
+def check_classical_acoustic(valleys: ValleySet, omegas: Sequence[float]) -> None:
+    check_window(valleys, omegas, Regime.CLASSICAL, "acoustic")
 
 
-def check_quantum_acoustic(valleys: ValleySet, omega: float) -> None:
-    check_window(valleys, omega, Regime.QUANTUM, "acoustic")
+def check_quantum_acoustic(valleys: ValleySet, omegas: Sequence[float]) -> None:
+    check_window(valleys, omegas, Regime.QUANTUM, "acoustic")
 
 
 def _rates(valleys: ValleySet, material: Material, omegas: Sequence[float]) -> list[Terms]:
@@ -85,22 +85,28 @@ def _rates(valleys: ValleySet, material: Material, omegas: Sequence[float]) -> l
     return terms
 
 
-def _classical_absorption(valleys: ValleySet, material: Material, omega: float) -> Terms:
-    check_classical_acoustic(valleys, omega)
-    pref = CLASSICAL_COEFF_ACOUSTIC * E_CHARGE**2 / (math.sqrt(material.eps0) * C_LIGHT * omega**2)
+def _classical_absorption(valleys: ValleySet, material: Material,
+                          omegas: Sequence[float]) -> list[Terms]:
+    """Classical closed-form terms, one per omega, sharing one per-valley list."""
+    check_classical_acoustic(valleys, omegas)
+    coeff, scale = CLASSICAL_COEFF_ACOUSTIC * E_CHARGE**2, math.sqrt(material.eps0) * C_LIGHT
     pair = _tensor_pair(material)
-    return pref, [(v, v.n, *pair) for v in _populated(valleys)]
+    terms = [(v, v.n, *pair) for v in _populated(valleys)]
+    return [(coeff / (scale * omega**2), terms) for omega in omegas]
 
 
-def _quantum_absorption(valleys: ValleySet, material: Material, omega: float) -> Terms:
-    check_quantum_acoustic(valleys, omega)
-    pref = _QUANTUM_COEFF * E_CHARGE**2 / (math.sqrt(material.eps0) * C_LIGHT * omega**2)
-    pair = _tensor_pair(material)
+def _quantum_absorption(valleys: ValleySet, material: Material,
+                        omegas: Sequence[float]) -> list[Terms]:
+    """Quantum closed-form terms, one per omega."""
+    check_quantum_acoustic(valleys, omegas)
+    coeff, scale = _QUANTUM_COEFF * E_CHARGE**2, math.sqrt(material.eps0) * C_LIGHT
+    pair, populated = _tensor_pair(material), _populated(valleys)
     terms = []
-    for v in _populated(valleys):
-        a = HBAR * omega / (2.0 * v.theta)
-        terms.append((v, v.n * math.sqrt(2.0 * a) * (1.0 + 1.5 / a), *pair))
-    return pref, terms
+    for omega in omegas:
+        terms.append((coeff / (scale * omega**2), [
+            (v, v.n * math.sqrt(2.0 * a) * (1.0 + 1.5 / a), *pair)
+            for v in populated for a in [HBAR * omega / (2.0 * v.theta)]]))
+    return terms
 
 
 def absorption_acoustic(

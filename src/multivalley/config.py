@@ -8,20 +8,21 @@ field paths; ``SweepSpec``, like ``Valley`` and ``Material``, checks its own
 domain, so a hand-built sweep is refused as a parsed one is.
 
 The per-valley terms of the observables come from ``emission._terms``, over
-the whole grid of an omega sweep or at each row of a phi sweep; with
-observable ``both`` it runs the absorption side once.  Each row projects its
-polarization from them through the cos^2 affine split.  Rows are emitted in
-grid order, so identical configs produce byte-identical CSV files.  The
-``workers`` key is accepted and validated, but evaluation is serial: it
-changes neither values nor bytes.
+the whole grid of an omega sweep or at each row of a phi sweep, once the
+regime guards have passed every frequency; with observable ``both`` it runs
+the absorption side once.  Each row projects its polarization from them
+through the cos^2 affine split.  Rows are emitted in grid order, so identical
+configs produce byte-identical CSV files.  The ``workers`` key is accepted and
+validated, but evaluation is serial: it changes neither values nor bytes.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator
 
@@ -32,13 +33,12 @@ from .geometry import (
     Material,
     Polarization,
     Valley,
-    Terms,
     ValleySet,
     _COLUMNS,
     _as_unit_tuple,
+    _check_unit,
     _observe,
     check_omega,
-    debye_radius,
     load_preset,
 )
 from .modes import Mechanism, Observable, Regime, parse
@@ -84,8 +84,14 @@ class SweepSpec:
         if self.omega is None:
             raise ConfigError("sweep.omega: required field is missing")
         check_omega(self.omega, "sweep.omega")
-        if self.plane is None:
-            raise ConfigError("sweep.plane: a phi sweep needs a plane")
+        if not (math.isfinite(self.minimum) and math.isfinite(self.maximum)):
+            raise ConfigError(f"sweep: bounds must be finite, got [{self.minimum}, {self.maximum}]")
+        if self.plane is None or len(self.plane) != 2:
+            raise ConfigError("sweep.plane: a phi sweep needs a plane of two 3-vectors")
+        for i, axis in enumerate(self.plane):
+            _check_unit(axis, f"sweep.plane[{i}]")
+        if not abs(sum(a * b for a, b in zip(*self.plane))) <= 1e-9:
+            raise ConfigError(f"sweep.plane: the two vectors must be orthogonal, got {self.plane}")
 
     def grid(self) -> list[float]:
         return _grid(self.scale, self.minimum, self.maximum, self.points)
@@ -252,7 +258,7 @@ def _parse_sweep(doc: dict) -> SweepSpec:
         overlap = sum(a * b for a, b in zip(e1, e2))
         e2 = [b - overlap * a for a, b in zip(e1, e2)]
         norm = math.sqrt(sum(v * v for v in e2))
-        if norm < 1e-12:
+        if norm < 1e-6:  # e1.e2 rounds to ~1e-16/norm: keep it below SweepSpec's 1e-9
             raise ConfigError(f"{path}.plane: the two vectors must be independent")
         plane = (e1, tuple(v / norm for v in e2))
     return SweepSpec(kind=kind, minimum=minimum, maximum=maximum, points=points, scale=scale,
@@ -302,12 +308,9 @@ def parse_config(text: str) -> RunConfig:
 
     if material.r_D is None:
         try:
-            r_d = debye_radius(material.eps0, valleys.mean_theta(), valleys.total_n())
-        except (ValueError, ArithmeticError):  # no population, or an underflow to 0
-            r_d = math.nan
-        if not 0.0 < r_d < math.inf:
+            material = material.with_debye_radius(valleys.mean_theta(), valleys.total_n())
+        except (ValueError, ArithmeticError):  # no population, or r_D out of (0, inf)
             raise ConfigError("material.r_D: not given, and not derivable from the populations")
-        material = replace(material, r_D=r_d)
 
     return RunConfig(
         material=material,
@@ -328,10 +331,10 @@ def run_sweep(config: RunConfig) -> SweepResult:
     An omega sweep asks for the per-valley terms of the requested
     observables over the whole grid at once, a phi sweep at each row; both
     observables share them, and each row projects its polarization from
-    them.  Terms come frequency by frequency, so closed forms check their
-    regime guards in grid order, row by row: an invalid sweep fails at the
-    first offending frequency and names it; a cell that is not finite
-    raises ``FloatingPointError``.
+    them.  Every regime checks its guards at every frequency in grid order
+    before it computes a value, so an invalid sweep fails at its first
+    offending frequency, names it, and evaluates no cell; a cell that is not
+    finite raises ``FloatingPointError``.
     """
     observables = [
         o for o in (Observable.ABSORPTION, Observable.EMISSION)
@@ -341,10 +344,8 @@ def run_sweep(config: RunConfig) -> SweepResult:
     columns = ["phi_rad"] if config.sweep.kind == "phi" else []
     columns += ["omega_rad_per_s", "hbar_omega_eV", *value_columns, "regime", "mechanism"]
 
-    def terms(omegas: list[float]) -> Iterator[list[Terms]]:
-        return _terms(
-            config.mechanism, config.regime, observables, config.valleys, config.material, omegas
-        )
+    terms = functools.partial(
+        _terms, config.mechanism, config.regime, observables, config.valleys, config.material)
 
     grid = config.sweep.grid()
     if config.sweep.kind == "omega":

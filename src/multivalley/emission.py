@@ -115,22 +115,25 @@ def _weigh(
     return factor, per_valley
 
 
-def _quantum_acoustic(valleys: ValleySet, material: Material, omega: float) -> Terms:
+def _quantum_acoustic(valleys: ValleySet, material: Material,
+                      omegas: Sequence[float]) -> list[Terms]:
     """(e0^2/6 pi^2 c^3) (n_i/sqrt(theta_i)) (hbar omega)^{3/2}
-    e^{-hbar omega/theta_i} times the tensor pair.
+    e^{-hbar omega/theta_i} times the tensor pair, one Terms per omega.
 
     The one emission formula of its own: quantum acoustic absorption keeps
     the 1 + 3/(2 a_i) correction of the large-argument kernel and this form
     does not, so the two are no Kirchhoff pair (23 % apart at s = 10, 7 % at
     s = 40); reconciling them would change the physics of one of them.
     """
-    acoustic.check_quantum_acoustic(valleys, omega)
-    pref = _QUANTUM_ACOUSTIC_COEFF * E_CHARGE**2 / C_LIGHT**3 * (HBAR * omega) ** 1.5
-    pair = acoustic._tensor_pair(material)
-    return pref, [
-        (v, v.n / math.sqrt(v.theta) * math.exp(-HBAR * omega / v.theta), *pair)
-        for v in _populated(valleys)
-    ]
+    acoustic.check_quantum_acoustic(valleys, omegas)
+    coeff = _QUANTUM_ACOUSTIC_COEFF * E_CHARGE**2 / C_LIGHT**3
+    pair, populated = acoustic._tensor_pair(material), _populated(valleys)
+    terms = []
+    for omega in omegas:
+        terms.append((coeff * (HBAR * omega) ** 1.5, [
+            (v, v.n / math.sqrt(v.theta) * math.exp(-HBAR * omega / v.theta), *pair)
+            for v in populated]))
+    return terms
 
 
 def _terms(
@@ -140,25 +143,19 @@ def _terms(
     """Per-valley terms of each observable (ABSORPTION or EMISSION), one list
     per frequency, yielded in grid order.  Both observables project from one
     evaluation of the source, the mechanism module's ``_rates`` or closed-form
-    absorption; quantum acoustic emission alone has its own formula.  The
-    general rate core runs over the whole grid before the first yield; a
-    closed form runs at each frequency as it is reached, so its regime guards
-    fail at the first offending frequency."""
-    if (mechanism, regime) == (Mechanism.ACOUSTIC, Regime.QUANTUM):
-        forms = {Observable.ABSORPTION: acoustic._quantum_absorption,
-                 Observable.EMISSION: _quantum_acoustic}
-        for omega in omegas:
-            yield [forms[o](valleys, material, omega) for o in observables]
-        return
+    absorption; quantum acoustic emission alone has its own, unweighed formula.
+    Each source takes the whole grid and checks its regime guards at every
+    frequency before it computes a value; the weighing runs frequency by
+    frequency, so only the sources are held for the whole grid."""
     module = impurity if mechanism is Mechanism.IMPURITY else acoustic
-    if regime is Regime.GENERAL:
-        sources = module._rates(valleys, material, omegas)
-    else:
-        form = {Regime.CLASSICAL: module._classical_absorption,
-                Regime.QUANTUM: module._quantum_absorption}[regime]
-        sources = (form(valleys, material, omega) for omega in omegas)
-    for omega, source in zip(omegas, sources):
-        yield [_weigh(source, material, omega, regime, o) for o in observables]
+    source = (module._rates if regime is Regime.GENERAL else module._classical_absorption
+              if regime is Regime.CLASSICAL else module._quantum_absorption)
+    unweighed = Observable.EMISSION if source is acoustic._quantum_absorption else None
+    own = _quantum_acoustic(valleys, material, omegas) if unweighed in observables else None
+    terms = source(valleys, material, omegas) if observables != [unweighed] else None
+    for j, omega in enumerate(omegas):
+        yield [own[j] if o is unweighed else _weigh(terms[j], material, omega, regime, o)
+               for o in observables]
 
 
 def _value(

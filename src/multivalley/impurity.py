@@ -160,48 +160,49 @@ def p_plus(
     return _project((factor * incident_flux(omega, A0, material.eps0), rates), pol)
 
 
-def check_classical_impurity(valleys: ValleySet, material: Material, omega: float) -> None:
+def check_classical_impurity(valleys: ValleySet, omegas: Sequence[float]) -> None:
     """Guard for the classical impurity closed form; raises RegimeError.  Its
     condition on x_min is :func:`special.coulomb_log`'s, which
     :func:`relaxation_impurity` reaches on the same path."""
-    check_window(valleys, omega, Regime.CLASSICAL, "impurity")
+    check_window(valleys, omegas, Regime.CLASSICAL, "impurity")
 
 
-def check_quantum_impurity(valleys: ValleySet, material: Material, omega: float) -> None:
-    """Guards for the quantum impurity closed form; raises RegimeError."""
+def check_quantum_impurity(valleys: ValleySet, material: Material, omegas: Sequence[float]) -> None:
+    """Quantum impurity guards, at each omega screening before the window; raises RegimeError."""
     r_D = material.require_r_D()
-    screening = 2.0 * material.m_perp * omega * r_D**2 / HBAR  # (q_omega r_D)^2
-    if screening < QUANTUM_SCREENING_MIN:
-        raise RegimeError(
-            f"quantum impurity form needs (q_omega r_D)^2 >= {QUANTUM_SCREENING_MIN:g}, "
-            f"got {screening:.3e} at omega = {omega:.6e} rad/s"
-        )
-    check_window(valleys, omega, Regime.QUANTUM, "impurity")
+    for omega in omegas:
+        screening = 2.0 * material.m_perp * omega * r_D**2 / HBAR  # (q_omega r_D)^2
+        if screening < QUANTUM_SCREENING_MIN:
+            raise RegimeError(
+                f"quantum impurity form needs (q_omega r_D)^2 >= {QUANTUM_SCREENING_MIN:g}, "
+                f"got {screening:.3e} at omega = {omega:.6e} rad/s"
+            )
+        check_window(valleys, (omega,), Regime.QUANTUM, "impurity")
 
 
-def _classical_absorption(valleys: ValleySet, material: Material, omega: float) -> Terms:
-    """Classical closed-form absorption terms: (3 pi^{3/2}/2) e0^2 n_i /
+def _classical_absorption(valleys: ValleySet, material: Material,
+                          omegas: Sequence[float]) -> list[Terms]:
+    """Classical closed-form absorption terms, one per omega: (3 pi^{3/2}/2) e0^2 n_i /
     (sqrt(eps0) c omega^2) times (1/(m_perp tau_perp), 1/(m_par tau_par))."""
-    check_classical_impurity(valleys, material, omega)
-    pref = CLASSICAL_COEFF * E_CHARGE**2 / math.sqrt(material.eps0) / (C_LIGHT * omega**2)
-    terms = []
-    for v in _populated(valleys):
-        tau = relaxation_impurity(material, v.theta)
-        pair = 1.0 / (material.m_perp * tau.tau_perp), 1.0 / (material.m_par * tau.tau_par)
-        terms.append((v, v.n, *pair))
-    return pref, terms
+    check_classical_impurity(valleys, omegas)
+    coeff = CLASSICAL_COEFF * E_CHARGE**2 / math.sqrt(material.eps0)
+    populated = _populated(valleys)
+    taus = {t: relaxation_impurity(material, t) for t in dict.fromkeys(v.theta for v in populated)}
+    terms = [(v, v.n, 1.0 / (material.m_perp * taus[v.theta].tau_perp),
+              1.0 / (material.m_par * taus[v.theta].tau_par)) for v in populated]
+    return [(coeff / (C_LIGHT * omega**2), terms) for omega in omegas]
 
 
-def _quantum_absorption(valleys: ValleySet, material: Material, omega: float) -> Terms:
-    """Quantum closed-form absorption terms: the unscreened shape function
-    Psi(inf) times n_i / (hbar omega)^{3/2}, an omega^-3.5 law.  The
-    (hbar omega)^{3/2} divides the weights, not the factor, whose omega^2
-    times it would overflow above ~3e99 rad/s."""
-    check_quantum_impurity(valleys, material, omega)
-    pref = _QUANTUM_COEFF * _collision_scale(material) / omega**2
-    psi_perp, psi_par = psi_infinity(0.0, material), psi_infinity(1.0, material)
-    energy = (HBAR * omega) ** 1.5
-    return pref, [(v, v.n / energy, psi_perp, psi_par) for v in _populated(valleys)]
+def _quantum_absorption(valleys: ValleySet, material: Material,
+                        omegas: Sequence[float]) -> list[Terms]:
+    """Quantum closed-form absorption terms, one per omega: the unscreened shape function
+    Psi(inf) times n_i / (hbar omega)^{3/2}, an omega^-3.5 law.  The (hbar omega)^{3/2} divides
+    the weights, not the factor, whose omega^2 times it would overflow above ~3e99 rad/s."""
+    check_quantum_impurity(valleys, material, omegas)
+    scale, psi = _QUANTUM_COEFF * _collision_scale(material), psi_infinity(material)
+    populated = _populated(valleys)
+    return [(scale / omega**2, [(v, v.n / (HBAR * omega) ** 1.5, *psi) for v in populated])
+            for omega in omegas]
 
 
 def absorption_impurity(

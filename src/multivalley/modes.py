@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 from enum import Enum
 from types import ModuleType
-from typing import TYPE_CHECKING, TypeVar
+from typing import TYPE_CHECKING, Sequence, TypeVar
 
 from .constants import HBAR
 from .errors import ConfigError, RegimeError
@@ -82,17 +82,16 @@ def parse(selector: type[E], value: E | str, key: str) -> E:
         raise ConfigError(f"{key}: expected {', '.join(names)} or {last}, got {value!r}") from None
 
 
-def check_window(valleys: ValleySet, omega: float, regime: Regime, form: str) -> None:
-    """RegimeError unless s = hbar*omega/theta_i lies in the window of the
-    ``regime`` closed form for every populated valley: s <= CLASSICAL_S_MAX,
-    or s >= QUANTUM_S_MIN.  ``form`` names the mechanism in the message."""
+def check_window(valleys: ValleySet, omegas: Sequence[float], regime: Regime, form: str) -> None:
+    """RegimeError at the first omega, in grid order, where s = hbar*omega/theta_i
+    of a populated valley leaves the window of the ``regime`` closed form:
+    s <= CLASSICAL_S_MAX, or s >= QUANTUM_S_MIN.  ``form`` names the mechanism."""
     classical = regime is Regime.CLASSICAL
-    bound = CLASSICAL_S_MAX if classical else QUANTUM_S_MIN
-    for v in valleys:
-        if v.n > 0.0:
+    bound, relation = (CLASSICAL_S_MAX, "<=") if classical else (QUANTUM_S_MIN, ">=")
+    for omega in omegas:
+        for v in valleys:
             s = HBAR * omega / v.theta
-            if (s > bound) if classical else (s < bound):
-                relation = "<=" if classical else ">="
+            if v.n > 0.0 and ((s > bound) if classical else (s < bound)):
                 raise RegimeError(
                     f"{regime.value} {form} form needs hbar*omega/theta {relation} {bound}, "
                     f"got {s:.3e} at omega = {omega:.6e} rad/s"

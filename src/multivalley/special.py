@@ -87,15 +87,11 @@ def shape_b2(b: float) -> float:
     return -1.0 / (1.0 + b * b) + at / b
 
 
-def psi_infinity(cos2phi: float, material: "Material") -> float:
-    """Unscreened (b = b0) shape function, affine in cos^2(phi): B1(b0)
-    across the valley axis, 2 (m_perp/m_par) B2(b0) along it."""
-    if not 0.0 <= cos2phi <= 1.0:
-        raise ValueError(f"cos2phi must lie in [0, 1], got {cos2phi}")
+def psi_infinity(material: "Material") -> tuple[float, float]:
+    """Unscreened (b = b0) shape function across and along the valley axis, a
+    pair fixed by the masses: (B1(b0), 2 (m_perp/m_par) B2(b0)), affine in cos^2(phi)."""
     b0 = math.sqrt(material.m_perp / (material.m_par - material.m_perp))
-    b1 = shape_b1(b0)
-    b2 = shape_b2(b0)
-    return (1.0 - cos2phi) * b1 + cos2phi * 2.0 * (material.m_perp / material.m_par) * b2
+    return shape_b1(b0), 2.0 * (material.m_perp / material.m_par) * shape_b2(b0)
 
 
 def coulomb_log(x_min: float) -> float:

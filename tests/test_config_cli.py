@@ -274,6 +274,15 @@ class TestCli:
         assert cli.main(["--config", cfg, "--output", str(tmp_path / "x.csv")]) == 2
         assert "sweep.plane[1]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("offset", [1e-8, 1e-11])
+    def test_nearly_parallel_plane_exit_two(self, tmp_path, capsys, offset):
+        # the orthonormalized plane would miss orthogonality by ~1e-16/offset
+        doc = base_config(sweep={"kind": "phi", "min": 0.0, "max": 3.0, "points": 3,
+                                 "omega": 1.0e12, "plane": [[1, 0, 0], [1, offset, 0]]})
+        cfg = self.write_config(tmp_path, doc)
+        assert cli.main(["--config", cfg, "--output", str(tmp_path / "x.csv")]) == 2
+        assert "sweep.plane: the two vectors must be independent" in capsys.readouterr().err
+
     @pytest.mark.parametrize("sweep", [
         {"kind": "omega", "min": 1.0e12, "max": 1.0e200, "points": 3},
         {"kind": "phi", "min": 0.0, "max": 3.0, "points": 3, "omega": 1.0e300},

@@ -8,6 +8,7 @@ import dataclasses
 import io
 import json
 import math
+import re
 import warnings
 from pathlib import Path
 
@@ -206,13 +207,33 @@ LOG_OMEGA = {"kind": "omega", "scale": "log", "minimum": 1e12, "maximum": 1e13, 
     lambda: sweep(plane=None),
     lambda: sweep(minimum=2.0, maximum=1.0),
     lambda: sweep(scale="lin"),
+    lambda: sweep(plane=((1.0, 0.0, 0.0), (1.0, 0.0, 0.0))),
+    lambda: sweep(plane=((2.0, 0.0, 0.0), (0.0, 0.0, 1.0))),
+    lambda: sweep(plane=((1.0, 0.0, 0.0),)),
+    lambda: sweep(minimum=-math.inf),
+    lambda: sweep(maximum=math.inf),
     lambda: mv.Valley(axis=(math.nan, 0.0, 0.0), n=1e16, theta=mv.theta_from_kelvin(300.0)),
     lambda: mv.Polarization(q0=(math.nan, 0.0, 0.0)),
     lambda: mv.Polarization(q0=(1.0, 0.0, 0.0, 5.0)),
     lambda: mv.Polarization(q0=(1.0, 0.0)),
 ], ids=["points-1", "max-1e200", "phi-omega-1e200", "log-min-negative", "phi-omega-0",
         "phi-omega-nan", "kind-freq", "phi-no-omega", "phi-no-plane", "max-below-min",
-        "scale-lin", "axis-nan", "q0-nan", "q0-four-components", "q0-two-components"])
+        "scale-lin", "plane-parallel", "plane-not-unit", "plane-one-vector", "phi-min-inf",
+        "phi-max-inf", "axis-nan", "q0-nan", "q0-four-components", "q0-two-components"])
 def test_hand_built_value_is_refused(build):
     # the data model refuses them, not only the parser
     library_raises_config_error(build)
+
+
+@pytest.mark.parametrize("mechanism", ["impurity", "acoustic"])
+def test_refusal_comes_before_values(tmp_path, mechanism):
+    # 1e300 electrons per valley overflow every cell below the window's edge;
+    # the window is checked over the whole grid before a value is computed
+    doc = ge4_doc(mechanism=mechanism, regime="classical", observable="both",
+                  valleys={"preset": "Ge4", "n": 1e300, "theta_K": 300.0},
+                  sweep={"kind": "omega", "min": 1e-40, "max": 1e14, "points": 40})
+    message = (f"classical {mechanism} form needs hbar*omega/theta <= 0.1, got 1.050e-01 "
+               "at omega = 4.124626e+12 rad/s")
+    assert run_cli(tmp_path, doc) == (3, f"regime error: {message}\n")
+    with pytest.raises(RegimeError, match=re.escape(message)):
+        mv.run_sweep(mv.parse_config(json.dumps(doc)))

@@ -22,6 +22,12 @@ def omega_for_s(s, theta):
     return s * theta / HBAR
 
 
+def psi_inf(c2, material):
+    """Psi(inf) at cos^2(phi) = c2, affine between its values across and along the axis."""
+    perp, par = psi_infinity(material)
+    return (1.0 - c2) * perp + c2 * par
+
+
 class TestPhotonNormalization:
     def test_amplitude_scalings(self):
         a = photon_amplitude(1e14, 1.0)
@@ -259,7 +265,7 @@ class TestKirchhoffClosedForms:
         total = 0.0
         for v in valleys:
             x_min = HBAR**2 / (8.0 * material.m_perp * v.theta * material.r_D**2)
-            psi = psi_infinity(cos_phi(v, pol) ** 2, material)
+            psi = psi_inf(cos_phi(v, pol) ** 2, material)
             total += v.n / math.sqrt(v.theta) * coulomb_log(x_min) * psi
         return self._impurity_pref(material) / (2.0 * math.pi) ** 1.5 * total
 
@@ -267,7 +273,7 @@ class TestKirchhoffClosedForms:
         # (1/(sqrt 2 pi)) pref (hbar omega)^{-1/2} sum_i n_i e^{-hbar omega/theta_i} Psi(inf)
         total = 0.0
         for v in valleys:
-            psi = psi_infinity(cos_phi(v, pol) ** 2, material)
+            psi = psi_inf(cos_phi(v, pol) ** 2, material)
             total += v.n * math.exp(-HBAR * omega / v.theta) * psi
         pref = self._impurity_pref(material) / (math.sqrt(2.0) * math.pi)
         return pref / math.sqrt(HBAR * omega) * total

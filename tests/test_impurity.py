@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import multivalley as mv
-from multivalley import oracles, quadrature
+from multivalley import impurity, oracles, quadrature, special
 from multivalley.constants import C_LIGHT, E_CHARGE, HBAR
 from multivalley.errors import RegimeError
 from multivalley.geometry import cos_phi, incident_flux
@@ -25,6 +25,12 @@ from multivalley.special import coulomb_log, psi_infinity, shape_b1, shape_b2
 
 def omega_for_s(s, theta):
     return s * theta / HBAR
+
+
+def psi_inf(c2, material):
+    """Psi(inf) at cos^2(phi) = c2, affine between its values across and along the axis."""
+    perp, par = psi_infinity(material)
+    return (1.0 - c2) * perp + c2 * par
 
 
 class TestXMin:
@@ -169,7 +175,7 @@ class TestAbsorptionClassical:
         alt = pref * sum(
             v.n
             / v.theta**1.5
-            * psi_infinity(cos_phi(v, pol_skew) ** 2, ge_material)
+            * psi_inf(cos_phi(v, pol_skew) ** 2, ge_material)
             * log_term
             for v in vs
         )
@@ -320,7 +326,7 @@ class TestRelaxationTensor:
             * ge_material.n_a
             * math.sqrt(ge_material.m_par)
             * v.n
-            * psi_infinity(cos_phi(v, pol_skew) ** 2, ge_material)
+            * psi_inf(cos_phi(v, pol_skew) ** 2, ge_material)
             * log_term
             / (
                 ge_material.eps0**2.5
@@ -470,3 +476,32 @@ class TestBatchedEndpoints:
             result = mv.run_sweep(config)
         assert len(result.rows) == 200
         assert all(math.isfinite(v) and v >= 0.0 for row in result.rows for v in row[2:4])
+
+
+class TestClosedFormsPerCall:
+    # a closed form computes what does not depend on omega once per call: the
+    # relaxation tensor once per distinct valley temperature, Psi(inf) once
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        calls = []
+        for module, name in ((impurity, "relaxation_impurity"), (special, "shape_b1"),
+                             (special, "shape_b2")):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name,
+                                lambda *a, real=real, name=name: calls.append(name) or real(*a))
+        return calls
+
+    @pytest.fixture
+    def two_temperatures(self):
+        t300, t600 = mv.theta_from_kelvin(300.0), mv.theta_from_kelvin(600.0)
+        return mv.load_preset("Ge4").with_population(1e16, [t300, t600, t300, t600])
+
+    def test_classical(self, ge_material, two_temperatures, counted):
+        omegas = np.geomspace(1e10, 1e12, 50).tolist()
+        assert len(impurity._classical_absorption(two_temperatures, ge_material, omegas)) == 50
+        assert counted == ["relaxation_impurity"] * 2
+
+    def test_quantum(self, ge_material, two_temperatures, counted):
+        omegas = np.geomspace(1e15, 1e16, 50).tolist()
+        assert len(impurity._quantum_absorption(two_temperatures, ge_material, omegas)) == 50
+        assert counted == ["shape_b1", "shape_b2"]
