@@ -4,8 +4,9 @@ The config document is plain JSON.  User-facing units (electron-mass
 multiples, eV or kelvin, cm^-3) are converted to internal CGS exactly once,
 here.  Sweeps evaluate either a frequency grid at fixed polarization or a
 polarization rotation at fixed frequency.  The parser checks JSON types and
-field paths; ``SweepSpec``, like ``Valley`` and ``Material``, checks its own
-domain, so a hand-built sweep is refused as a parsed one is.
+field paths; ``SweepSpec`` and ``RunConfig``, like ``Valley`` and
+``Material``, check their own domain, so a hand-built or ``replace``d sweep
+or run is refused, or runs, as a parsed one would.
 
 The per-valley terms of the observables come from ``emission._terms``, over
 the whole grid of an omega sweep or at each row of a phi sweep, once the
@@ -23,7 +24,6 @@ import functools
 import json
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Iterator
 
 from .constants import ERG_PER_EV, HBAR, theta_from_ev, theta_from_kelvin
@@ -120,6 +120,9 @@ def _linspace(start: float, stop: float, num: int) -> list[float]:
 
 @dataclass(frozen=True)
 class RunConfig:
+    """A run.  The selectors are members or their string values, and workers
+    an int >= 1; ConfigError, with the parser's message, otherwise."""
+
     material: Material
     valleys: ValleySet
     polarization: Polarization
@@ -129,6 +132,13 @@ class RunConfig:
     observable: Observable
     output: str | None = None
     workers: int = 1
+
+    def __post_init__(self) -> None:
+        for key, selector in (("mechanism", Mechanism), ("regime", Regime),
+                              ("observable", Observable)):
+            object.__setattr__(self, key, parse(selector, getattr(self, key), key))
+        if not isinstance(self.workers, int) or isinstance(self.workers, bool) or self.workers < 1:
+            raise ConfigError(f"workers: expected an integer >= 1, got {self.workers!r}")
 
 
 @dataclass(frozen=True)
@@ -265,23 +275,20 @@ def _parse_sweep(doc: dict) -> SweepSpec:
                      omega=omega, plane=plane)
 
 
-def _choice(doc: dict, key: str, default: Enum) -> Enum:
-    """The member of ``default``'s selector named by ``doc[key]``, or ``default``."""
-    return parse(type(default), doc.get(key, default.value), key)
-
-
-def parse_config(text: str) -> RunConfig:
+def parse_config(text: str | bytes) -> RunConfig:
     """Parse and validate a JSON config document into internal CGS units.
 
     Raises ConfigError with the offending field path on any schema or
     mass-ordering violation, and on any value the data model refuses (a
-    Valley, the Material, or the SweepSpec, whose frequencies must lie in
-    ``geometry.check_omega``'s range).  A missing material.r_D is filled from the total electron
-    concentration via the Debye formula.
+    Valley, the Material, the SweepSpec, whose frequencies must lie in
+    ``geometry.check_omega``'s range, or the RunConfig).  Bytes are read as
+    UTF-8; a document that is not UTF-8, or nests too deeply for the JSON
+    decoder, is a ConfigError too.  A missing material.r_D is filled from the
+    total electron concentration via the Debye formula.
     """
     try:
-        doc = json.loads(text)
-    except ValueError as exc:  # invalid JSON, or an integer beyond int_max_str_digits
+        doc = json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, too deep, or a huge int
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config root: expected a JSON object")
@@ -294,14 +301,6 @@ def parse_config(text: str) -> RunConfig:
 
     sweep = _parse_sweep(_require(doc, "sweep", "config"))
 
-    mechanism = _choice(doc, "mechanism", Mechanism.IMPURITY)
-    regime = _choice(doc, "regime", Regime.GENERAL)
-    observable = _choice(doc, "observable", Observable.ABSORPTION)
-
-    workers = doc.get("workers", 1)
-    if not isinstance(workers, int) or isinstance(workers, bool) or workers < 1:
-        raise ConfigError(f"workers: expected an integer >= 1, got {workers!r}")
-
     output = doc.get("output")
     if output is not None and not isinstance(output, str):
         raise ConfigError(f"output: expected a string path, got {output!r}")
@@ -313,15 +312,10 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError("material.r_D: not given, and not derivable from the populations")
 
     return RunConfig(
-        material=material,
-        valleys=valleys,
-        polarization=polarization,
-        sweep=sweep,
-        mechanism=mechanism,
-        regime=regime,
-        observable=observable,
-        output=output,
-        workers=workers,
+        material=material, valleys=valleys, polarization=polarization, sweep=sweep,
+        mechanism=doc.get("mechanism", "impurity"), regime=doc.get("regime", "general"),
+        observable=doc.get("observable", "absorption"), output=output,
+        workers=doc.get("workers", 1),
     )
 
 

@@ -23,6 +23,11 @@ factors) and the acoustic Bessel kernel (:func:`_kernels`, :func:`_kernel`).
 The mechanism modules reach them through ``modes.spectral_core``, which
 imports this module on the first general-regime call, so the closed forms,
 config parsing and the CLI's start-up run without numpy.
+
+Floating-point policy, the library's and the CLI's: :func:`_integrate` traps
+overflow, division by zero and nan (not underflow to zero), each a
+:class:`QuadratureError` naming it and the first s whose integral fails.
+The setup outside it runs in Python floats or clamps first: it cannot trap.
 """
 
 from __future__ import annotations
@@ -129,26 +134,32 @@ def _integrate(
     array of shape (m, k, panels, 15).  The s values are integrated in passes
     of at most ``_CHUNK_NODES`` nodes, each row padded with zero-width panels
     at t = 1 to the longest layout of its pass.  The first s in order at which
-    an integral misses the tolerance raises :class:`QuadratureError`.
+    an integral misses the tolerance, or alone trips a trap, raises :class:`QuadratureError`.
     """
-    tail = _DEFAULT_TAIL if rel_tol == DEFAULT_QUADRATURE.rel_tol else _tail_edges(rel_tol)
-    t0 = 0.25 * np.minimum(np.maximum(np.sqrt(s), _ROOT_S_MIN), 1.0)
-    n_geometric = np.ceil(np.log(1.0 / t0) / math.log(_GEOMETRIC_RATIO))
-    ratio = (1.0 / t0) ** (1.0 / n_geometric)
-    step = max(1, _CHUNK_NODES // (_NODES.size * (int(n_geometric.max()) + 1 + tail.size)))
-    values, errors = [], []
-    for start in range(0, s.size, step):
-        rows = slice(start, start + step)
-        n = n_geometric[rows, None]
-        k = np.arange(n.max() + 1.0)
-        edges = np.empty((len(n), 1 + k.size + tail.size))
-        edges[:, 0] = 0.0
-        edges[:, 1:-tail.size] = np.where(k < n, t0[rows, None] * ratio[rows, None] ** k, 1.0)
-        edges[:, -tail.size:] = tail
-        value, abserr = _pass(g, s[rows], edges)
-        _check(value, abserr, s[rows], rel_tol)
-        values.append(value)
-        errors.append(abserr)
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        tail = _DEFAULT_TAIL if rel_tol == DEFAULT_QUADRATURE.rel_tol else _tail_edges(rel_tol)
+        t0 = 0.25 * np.minimum(np.maximum(np.sqrt(s), _ROOT_S_MIN), 1.0)
+        n_geometric = np.ceil(np.log(1.0 / t0) / math.log(_GEOMETRIC_RATIO))
+        ratio = (1.0 / t0) ** (1.0 / n_geometric)
+        step = max(1, _CHUNK_NODES // (_NODES.size * (int(n_geometric.max()) + 1 + tail.size)))
+        values, errors = [], []
+        for start in range(0, s.size, step):
+            rows = slice(start, start + step)
+            n = n_geometric[rows, None]
+            k = np.arange(n.max() + 1.0)
+            edges = np.empty((len(n), 1 + k.size + tail.size))
+            edges[:, 0] = 0.0
+            edges[:, 1:-tail.size] = np.where(k < n, t0[rows, None] * ratio[rows, None] ** k, 1.0)
+            edges[:, -tail.size:] = tail
+            try:
+                value, abserr = _pass(g, s[rows], edges)
+            except FloatingPointError as exc:
+                for s_j in s[rows] if len(n) > 1 else ():  # each s alone, in order
+                    _integrate(g, s_j[None], rel_tol)
+                raise QuadratureError(f"spectral integral: {exc} at s = {s[start]:.6e}") from None
+            _check(value, abserr, s[rows], rel_tol)
+            values.append(value)
+            errors.append(abserr)
     if len(values) == 1:
         return values[0], errors[0]
     return np.concatenate(values, axis=1), np.concatenate(errors, axis=1)
@@ -208,7 +219,7 @@ def integrate_spectral_with_error(
     must vanish at the origin fast enough to keep the integrand integrable.
     The estimate is the sum over panels of QUADPACK's Gauss-Kronrod estimate
     ``resasc * min(1, (200 |K - G| / resasc)^1.5)``; above ``10 rel_tol``
-    times the value it raises :class:`QuadratureError`.
+    times the value, or on a floating-point trap, it raises :class:`QuadratureError`.
     """
     if s < 0.0:
         raise ValueError(f"s must be non-negative, got {s}")
@@ -226,6 +237,7 @@ def _shape_b12(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(B1(b), B2(b)) elementwise for an array of b > 0: the formulas of
     ``special.shape_b1`` and ``special.shape_b2``, the tail series beyond the
     cutoff."""
+    b = np.minimum(b, 1e100)  # the tail is 0 beyond (u^2 underflows); b^3 would overflow
     b_sq = b * b
     at = np.arctan2(1.0, b)
     b1 = 1.0 / b_sq + (1.0 - b_sq) / (b_sq * b) * at
@@ -244,21 +256,23 @@ def _endpoints(material: Material, theta: float, omegas: Sequence[float]) -> np.
     (2, len(omegas)).
 
     One quadrature pass evaluates both integrands, at both ends of the
-    momentum window, for many frequencies at once.
+    momentum window, for many frequencies at once.  The setup runs in Python
+    floats and cannot trap: an s beyond double range is inf, and a kappa or
+    r_D^2 that underflows is 0, so that the integral traps and names its s.
     """
     kappa = math.sqrt(2.0 * material.m_perp * theta) / HBAR
     r_D = material.require_r_D()
     b0_sq = material.m_perp / material.mass_contrast
-    inv_rd_sq = 1.0 / (r_D * r_D)
+    r_d_sq = r_D * r_D
 
     def sums(x: np.ndarray, s: np.ndarray) -> np.ndarray:
         roots = np.sqrt(x + s) + np.sqrt(x)
         # q_min = kappa (sqrt(x+s) - sqrt(x)), rationalized: no cancellation at tiny s
         q = kappa * np.array((roots, s / roots))
-        b1, b2 = _shape_b12(np.sqrt(b0_sq * (1.0 + inv_rd_sq / (q * q))))
+        b1, b2 = _shape_b12(np.sqrt(b0_sq * (1.0 + np.reciprocal(r_d_sq) / (q * q))))
         return np.array((b1[0] + b1[1], b2[0] + b2[1]))
 
-    s = HBAR * np.asarray(omegas, dtype=float) / theta
+    s = np.array([HBAR * omega / theta for omega in omegas])
     return _integrate(sums, s, DEFAULT_QUADRATURE.rel_tol)[0]
 
 

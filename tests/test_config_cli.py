@@ -434,6 +434,19 @@ class TestCli:
         assert cli.main(["--config", str(cfg), "--output", str(tmp_path / "x.csv")]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", [b"\xff\xfe{}", b"[" * 200000],
+                             ids=["not-utf-8", "nested-too-deep"])
+    def test_undecodable_config_exit_two(self, tmp_path, capsys, text):
+        # bytes that are not UTF-8 (here a UTF-16 byte-order mark), and nesting
+        # beyond the JSON decoder's recursion limit, are refused by the parser
+        with pytest.raises(ConfigError, match="config is not valid JSON"):
+            parse_config(text)
+        cfg = tmp_path / "config.json"
+        cfg.write_bytes(text)
+        assert cli.main(["--config", str(cfg), "--output", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: config is not valid JSON") and "Traceback" not in err
+
     def test_zero_workers_exit_two(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path, base_config())
         out = tmp_path / "x.csv"

@@ -1,7 +1,9 @@
 """One input domain: the public observables and the CLI accept and refuse the
 same inputs.  Non-finite valley and material fields and frequencies outside
 [OMEGA_MIN, OMEGA_MAX] raise ConfigError in the library and exit 2 in the
-CLI, without a warning; the range edges evaluate."""
+CLI, without a warning; the range edges evaluate.  Inputs far outside the
+documented domain give the same values, or the same error, in both; a
+hand-built RunConfig is read, or refused, as a parsed one is."""
 
 import contextlib
 import dataclasses
@@ -12,13 +14,17 @@ import re
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import multivalley as mv
 from multivalley import cli
+from multivalley.config import write_csv
+from multivalley.constants import HBAR
 from multivalley.errors import ConfigError, QuadratureError, RegimeError
 from multivalley.geometry import OMEGA_MAX, OMEGA_MIN
 from multivalley.impurity import p_plus
+from multivalley.quadrature import _shape_b12
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
 
@@ -237,3 +243,118 @@ def test_refusal_comes_before_values(tmp_path, mechanism):
     assert run_cli(tmp_path, doc) == (3, f"regime error: {message}\n")
     with pytest.raises(RegimeError, match=re.escape(message)):
         mv.run_sweep(mv.parse_config(json.dumps(doc)))
+
+
+# Docs Ge4 far outside the documented domain, and the CLI's exit code for
+# each mechanism.  1e300 electrons per valley with no r_D derive r_D = 2.4e-148
+# cm; with that or r_D = 1e-150 cm, screening leaves B1 = B2 = 0 (b beyond
+# 1e100), so impurity reads 0.0.  For impurity, r_D^2 = 1e-400 underflows to 0,
+# hot valleys overflow q^2, and at 1e-300 K kappa underflows to 0: each a trap
+# of the spectral core, named by s.  Acoustic cells of n theta overflow.
+EXTREMES = {
+    "n-1e300": ({"valleys": {"n": 1e300}, "material": {"r_D": None}},
+                {"impurity": 0, "acoustic": 4}),
+    "r_D-1e-150": ({"material": {"r_D": 1e-150}}, {"impurity": 0, "acoustic": 0}),
+    "r_D-1e-200": ({"material": {"r_D": 1e-200}}, {"impurity": 4, "acoustic": 0}),
+    "theta_K-1e300": ({"valleys": {"theta_K": 1e300}}, {"impurity": 4, "acoustic": 4}),
+    "theta_K-1e-300": ({"valleys": {"theta_K": 1e-300}}, {"impurity": 4, "acoustic": 4}),
+}
+ABSORPTION = {"impurity": mv.absorption_impurity, "acoustic": mv.absorption_acoustic}
+
+
+def extreme_doc(name, mechanism):
+    doc = ge4_doc(mechanism=mechanism)
+    for section, fields in EXTREMES[name][0].items():
+        doc[section].update(fields)
+    doc["material"] = {k: v for k, v in doc["material"].items() if v is not None}
+    return doc
+
+
+def library_outcome(call):
+    """``call()``, or the numerical error it raises, with warnings as errors."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return call()
+        except (QuadratureError, FloatingPointError) as exc:
+            return exc
+
+
+def cli_stderr(exc):
+    """What the CLI prints for the library's numerical error ``exc``."""
+    if isinstance(exc, QuadratureError):
+        return f"numerical error: {exc}\n"
+    return f"numerical error: {type(exc).__name__}: {exc}\n"
+
+
+@pytest.mark.parametrize("mechanism", ["impurity", "acoustic"])
+@pytest.mark.parametrize("name", EXTREMES)
+def test_library_and_cli_agree_far_outside_the_domain(tmp_path, name, mechanism):
+    doc = extreme_doc(name, mechanism)
+    code, err = run_cli(tmp_path, doc)
+    assert code == EXTREMES[name][1][mechanism], err
+    config = mv.parse_config(json.dumps(doc))
+    result = library_outcome(lambda: mv.run_sweep(config))
+    omega = config.sweep.minimum
+    value = library_outcome(lambda: ABSORPTION[mechanism](
+        config.valleys, config.material, omega, config.polarization))
+    if code == 0:
+        write_csv(result, str(tmp_path / "library.csv"))
+        assert (tmp_path / "x.csv").read_bytes() == (tmp_path / "library.csv").read_bytes()
+        assert value == pytest.approx(result.rows[0][2], rel=1e-12, abs=0)
+    else:
+        # both fail at the first frequency, on the absorption column
+        assert err == cli_stderr(result)
+        assert type(value) is type(result) and str(value) == str(result)
+
+
+def test_vanishing_temperature_general_impurity_names_s():
+    # kappa = sqrt(2 m_perp theta)/hbar underflows to 0, so every q is 0: the
+    # integral is a division by zero at the first s, not a value of 0.0
+    doc = extreme_doc("theta_K-1e-300", "impurity")
+    config = mv.parse_config(json.dumps(doc))
+    s = HBAR * config.sweep.minimum / config.valleys.valleys[0].theta
+    message = f"spectral integral: divide by zero encountered in divide at s = {s:.6e}"
+    with pytest.raises(QuadratureError, match=re.escape(message)):
+        mv.run_sweep(config)
+    with pytest.raises(QuadratureError, match=re.escape(message)):
+        mv.emission_impurity(config.valleys, config.material, config.sweep.minimum,
+                             config.polarization)
+
+
+@pytest.mark.parametrize("b", [1e120, 1e200, math.inf])
+def test_shape_factors_vanish_at_huge_b(b):
+    # the tail series is exactly 0 there; the direct formulas it overwrites
+    # would overflow in b^3
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        b1, b2 = _shape_b12(np.array([1.0, b]))
+    assert b1[1] == 0.0 and b2[1] == 0.0 and b1[0] > 0.0 and b2[0] > 0.0
+
+
+def docs_config():
+    return mv.parse_config(json.dumps(ge4_doc()))
+
+
+def test_hand_built_regime_string_selects_that_regime():
+    # s = 0.25 at the first frequency: the classical window refuses it
+    with pytest.raises(RegimeError, match="^classical impurity form needs"):
+        mv.run_sweep(dataclasses.replace(docs_config(), regime="classical"))
+
+
+def test_hand_built_mechanism_string_equals_member():
+    by_string = dataclasses.replace(docs_config(), mechanism="acoustic")
+    by_member = dataclasses.replace(docs_config(), mechanism=mv.Mechanism.ACOUSTIC)
+    assert by_string.mechanism is mv.Mechanism.ACOUSTIC
+    assert mv.run_sweep(by_string).rows == mv.run_sweep(by_member).rows
+
+
+@pytest.mark.parametrize("key,value", [
+    ("workers", 0), ("workers", "x"), ("workers", True), ("regime", "bogus"),
+    ("observable", None),
+])
+def test_hand_built_run_is_refused_like_a_parsed_one(key, value):
+    with pytest.raises(ConfigError) as parsed:
+        mv.parse_config(json.dumps(ge4_doc(**{key: value})))
+    with pytest.raises(ConfigError) as built:
+        dataclasses.replace(docs_config(), **{key: value})
+    assert str(built.value) == str(parsed.value)

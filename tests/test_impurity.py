@@ -461,7 +461,7 @@ class TestBatchedEndpoints:
 
     @pytest.mark.parametrize("kelvin", [4.2, 1e4])
     def test_sweep_raises_no_floating_point_error(self, kelvin):
-        # the CLI runs sweeps with numpy over/divide/invalid raising; the
+        # the spectral core runs with numpy over/divide/invalid raising; the
         # batched passes (zero-width padding panels included) must not trip it
         doc = {
             "material": {"m_perp": 0.082, "m_par": 1.59, "eps0": 16.0, "n_a": 1e16,

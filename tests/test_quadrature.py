@@ -174,6 +174,26 @@ class TestBatchedCore:
         _, expected = reference_integrate(lambda x, s: np.where(x > 2.0, 1.0, 0.0), 3.0)
         assert err.value.estimate == pytest.approx(expected, rel=1e-6)
 
+    @pytest.mark.parametrize("order, named", [
+        ((0.0, 3.0, 5.0), r"error estimate .* at s = 3\.000000e\+00"),
+        ((0.0, 5.0, 3.0), r"^spectral integral: overflow encountered in multiply at s = 5\.0+e"),
+    ])
+    def test_trap_names_the_first_failing_s(self, order, named):
+        # one pass holds s = 3, which misses the tolerance, and s = 5, whose
+        # integrand overflows: whichever comes first in order is named, and a
+        # trap is a QuadratureError naming its event
+        def g(x, s):
+            return np.array([x * np.exp(-x), np.where((s > 1.0) & (x > 2.0), 1.0, 0.0),
+                             x * np.where(s > 4.0, 1e308, 1.0) * 10.0])
+
+        with pytest.raises(QuadratureError, match=named):
+            _integrate(g, np.array(order), DEFAULT_QUADRATURE.rel_tol)
+
+    def test_trap_in_one_element_call(self):
+        with pytest.raises(QuadratureError, match=r"^spectral integral: overflow .* at s = 1\.0"):
+            integrate_spectral_with_error(lambda x: (x + 1.0) * 1e308 * 10.0, 1.0)
+        assert np.geterr()["over"] == "warn"  # the trap ends with the call
+
 
 def _fresh_python(code: str, env: dict) -> str:
     """stdout of ``code`` run in a new interpreter."""

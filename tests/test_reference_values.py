@@ -51,7 +51,7 @@ def evaluate(case: str) -> dict:
     config, overrides = CASES[case]
     doc = json.loads((ROOT / "docs" / config).read_text())
     doc.update(overrides)
-    # the CLI's floating-point state: any overflow or nan raises
+    # the spectral core's floating-point state: any overflow or nan raises
     with np.errstate(over="raise", divide="raise", invalid="raise"):
         result = run_sweep(parse_config(json.dumps(doc)))
     return {"columns": list(result.columns), "rows": [list(row) for row in result.rows]}
