@@ -12,9 +12,9 @@ int_0^inf e^-x sqrt(x (x + s)) dx = (s/2) e^{s/2} K1(s/2); differentiating
 in a brings down cosh t = (2x + s)/s and a^3 d/da [K1(a)/a] = -a^2 K2(a).
 The kernel enters scaled, as e^a a^2 K2(a), which keeps each valley's
 absorption and emission in Kirchhoff balance and never underflows.  It is
-half the energy integral, which the spectral quadrature core evaluates with
-g = (2x + s) x (x + s) (``quadrature._kernels``; the batched integrand lives
-with the numpy core, so the closed forms here run without numpy).
+half the energy integral, a one-parameter integral that
+``special.acoustic_kernel`` evaluates in Python floats, so that no regime of
+this mechanism imports numpy.
 
 :func:`_rates` is the general-regime rate core: per valley and frequency, the
 absorption rate before stimulated emission across and along the valley axis.
@@ -29,7 +29,8 @@ from typing import Sequence
 
 from .constants import C_LIGHT, E_CHARGE, HBAR
 from .geometry import Material, Polarization, Terms, ValleySet, _populated
-from .modes import Mechanism, Observable, Regime, check_window, spectral_core
+from .modes import Mechanism, Observable, Regime, check_window
+from .special import acoustic_kernel
 
 __all__ = ["absorption_acoustic", "CLASSICAL_COEFF_ACOUSTIC"]
 
@@ -62,23 +63,16 @@ def _rates(valleys: ValleySet, material: Material, omegas: Sequence[float]) -> l
     """General-regime rate core: at each omega, per populated valley,
     (valley, 1, r_perp, r_par): the absorption coefficient before the factor
     1 - e^{-2 a_i}, (16 sqrt(pi)/3 sqrt(eps0)) (e0^2/c hbar omega^3) times
-    n_i theta_i e^{a_i} a_i^2 K2(a_i) times :func:`_tensor_pair`.  The kernel
-    runs over the grid once per distinct valley temperature, or through the
-    memo ``quadrature._kernel`` at a single frequency.
+    n_i theta_i e^{a_i} a_i^2 K2(a_i) times :func:`_tensor_pair`.  Valleys of
+    one temperature share the kernel through its memo.
     """
-    core = spectral_core()
     populated = _populated(valleys)
     pair_perp, pair_par = _tensor_pair(material)
-    kernels = {
-        theta: [core._kernel(HBAR * omegas[0] / theta)] if len(omegas) == 1
-        else core._kernels([HBAR * omega / theta for omega in omegas])
-        for theta in dict.fromkeys(v.theta for v in populated)
-    }
     terms = []
-    for j, omega in enumerate(omegas):
+    for omega in omegas:
         rates = []
         for v in populated:
-            scale = v.n * v.theta * kernels[v.theta][j]
+            scale = v.n * v.theta * acoustic_kernel(HBAR * omega / (2.0 * v.theta))
             rates.append((v, 1.0, scale * pair_perp, scale * pair_par))
         factor = _GENERAL_COEFF * E_CHARGE**2 / (math.sqrt(material.eps0) * C_LIGHT * HBAR * omega**3)
         terms.append((factor, rates))

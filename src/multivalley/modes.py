@@ -1,9 +1,9 @@
 """Mechanism, frequency-regime, and observable selectors.
 
-Regimes are explicit: the caller picks ``general`` (the spectral quadrature
-core), ``classical`` (hbar*omega well below the electron temperature) or
-``quantum`` (well above).  Closed forms refuse to evaluate outside their
-validity window (:func:`check_window`); there is no automatic switching.
+Regimes are explicit: the caller picks ``general`` (any frequency), ``classical``
+(hbar*omega well below the electron temperature) or ``quantum`` (well above).
+Closed forms refuse to evaluate outside their validity window
+(:func:`check_window`); there is no automatic switching.
 """
 
 from __future__ import annotations
@@ -100,10 +100,10 @@ def check_window(valleys: ValleySet, omegas: Sequence[float], regime: Regime, fo
 
 @functools.cache
 def spectral_core() -> ModuleType:
-    """The ``general`` regime's numpy core, the ``quadrature`` module, imported
-    on the first call: the closed forms never load numpy.  Memoized, because
-    a phi sweep asks for it at every row, where an import statement would
-    cost a few microseconds."""
+    """The general impurity regime's numpy core, the ``quadrature`` module,
+    imported on the first call: the closed forms and the acoustic mechanism
+    never load numpy.  Memoized, because a phi sweep asks for it at every
+    row, where an import statement would cost a few microseconds."""
     from . import quadrature
 
     return quadrature

@@ -17,12 +17,13 @@ estimates as array operations, reduced per s and checked in order of s.
 unit-sphere rule of the brute-force oracles lives in ``oracles``.
 
 This is the one runtime module that imports numpy, so it also holds the
-batched integrands of the general regime: the impurity endpoint integrals
+batched integrand of the general impurity regime: the endpoint integrals
 (:func:`_endpoints`, with the array form :func:`_shape_b12` of the angular
-factors) and the acoustic Bessel kernel (:func:`_kernels`, :func:`_kernel`).
-The mechanism modules reach them through ``modes.spectral_core``, which
-imports this module on the first general-regime call, so the closed forms,
-config parsing and the CLI's start-up run without numpy.
+factors).  ``impurity`` reaches it through ``modes.spectral_core``, which
+imports this module on the first general-regime impurity call, so the closed
+forms, the acoustic mechanism in every regime (its kernel is
+``special.acoustic_kernel``), config parsing and the CLI's start-up run
+without numpy.
 
 Floating-point policy, the library's and the CLI's: :func:`_integrate` traps
 overflow, division by zero and nan (not underflow to zero), each a
@@ -32,9 +33,7 @@ The setup outside it runs in Python floats or clamps first: it cannot trap.
 
 from __future__ import annotations
 
-import functools
 import math
-import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -229,7 +228,7 @@ def integrate_spectral_with_error(
     return float(value[0, 0]), float(abserr[0, 0])
 
 
-# The batched integrands of the general regime.
+# The batched integrand of the general impurity regime.
 _TAILS = np.array((_B1_TAIL, _B2_TAIL))
 
 
@@ -275,30 +274,3 @@ def _endpoints(material: Material, theta: float, omegas: Sequence[float]) -> np.
     s = np.array([HBAR * omega / theta for omega in omegas])
     return _integrate(sums, s, DEFAULT_QUADRATURE.rel_tol)[0]
 
-
-def _pow2(s: np.ndarray) -> np.ndarray:
-    """The power of two that divides max(s, 1) into [1, 2)."""
-    return np.ldexp(0.5, np.frexp(np.maximum(s, 1.0))[1])
-
-
-def _moment(x: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """g = (2x + s) x (x + s), its two factors of size s divided by
-    :func:`_pow2` (exactly), so that g stays in range for every finite s."""
-    c = _pow2(s)
-    return ((2.0 * x + s) / c * x * ((x + s) / c))[None]
-
-
-def _kernels(s: Sequence[float]) -> list[float]:
-    """e^a a^2 K2(a) at every s = 2a of ``s``: half the energy integral of
-    ``acoustic``, in one quadrature call, unscaled in Python floats, so that a
-    kernel beyond double range (s above ~5e205, or s = inf) is inf without a
-    floating-point trap."""
-    s = np.minimum(s, sys.float_info.max)
-    values = _integrate(_moment, s, DEFAULT_QUADRATURE.rel_tol)[0][0].tolist()
-    return [0.5 * value * c * c for value, c in zip(values, _pow2(s).tolist())]
-
-
-@functools.lru_cache(maxsize=64)
-def _kernel(s: float) -> float:
-    """:func:`_kernels` at one s, memoized: a phi sweep asks for it at every row."""
-    return _kernels([s])[0]

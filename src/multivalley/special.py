@@ -1,15 +1,15 @@
-"""Closed-form kernels: the screened-Coulomb angular factors B1/B2, the
-unscreened polarization function Psi(inf) and the Conwell-Weisskopf
-logarithm, in scalar Python: the closed forms evaluate them without numpy.
-The array form of B1/B2 that the general impurity integrand evaluates,
+"""Scalar kernels in Python floats, without numpy: the angular factors B1/B2,
+Psi(inf) and the Conwell-Weisskopf logarithm of the closed forms, and the
+general acoustic kernel e^a a^2 K2(a) (:func:`acoustic_kernel`).  The array
+form of B1/B2 that the general impurity integrand evaluates,
 ``quadrature._shape_b12``, lives with the numpy core and sums the same tail
 series.  The screened shape function Psi and the shape parameter b, which
 only the oracles evaluate, live in ``oracles``.
 
 The modified Bessel functions K0/K1/K2 below are on no computational path:
-the acoustic kernel is computed by quadrature, in ``quadrature``.  They serve
-only the benchmark harness in ``perfbench/``, which counts their calls and
-times ``bessel_k2e``, and leave with ROADMAP item 1.  They are scipy's
+the acoustic kernel is its own trapezoid rule, :func:`acoustic_kernel`.  They
+serve only the benchmark harness in ``perfbench/``, which counts their calls
+and times ``bessel_k2e``, and leave with ROADMAP item 1.  They are scipy's
 scaled ``kve``, imported on the first call, with the Hankel form beyond
 x = 1e9; relative error <= 1e-12 on x in [1e-6, 700] against mpmath.
 """
@@ -21,7 +21,7 @@ import math
 from typing import TYPE_CHECKING
 
 from .constants import EULER_GAMMA
-from .errors import RegimeError
+from .errors import QuadratureError, RegimeError
 from .modes import XMIN_MAX
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -32,6 +32,7 @@ __all__ = [
     "shape_b2",
     "psi_infinity",
     "coulomb_log",
+    "acoustic_kernel",
     "bessel_k0",
     "bessel_k1",
     "bessel_k2",
@@ -108,6 +109,48 @@ def coulomb_log(x_min: float) -> float:
             "(Conwell-Weisskopf) approximation is not justified here"
         )
     return -EULER_GAMMA - math.log(x_min)
+
+
+# ---------------------------------------------------------------------------
+# The acoustic kernel e^a a^2 K2(a)
+# ---------------------------------------------------------------------------
+
+# Trapezoid nodes, the one at 0 halved.  Below a = 4, in t of e^a K2(a) =
+# int_0^inf e^{-a (cosh t - 1)} cosh 2t dt: (cosh t - 1, cosh 2t) up to t = 23.1,
+# where a = 1e-8 is cut.  From a = 4, in v = 2 sqrt(a) sinh(t/2), where it is
+# a^-1/2 int_0^inf e^{-v^2/2} (1 + 8w (1 + w)) / sqrt(1 + w) dv, w = v^2/(4a):
+# (v^2/4, e^{-v^2/2}) up to v = 9.8.  Both integrands are analytic near the real
+# axis, so the error falls geometrically in 1/step: the half-step rule is within 3e-11.
+_T_STEP, _V_STEP = 0.15, 0.35
+_T_NODES = tuple((2.0 * math.sinh(0.5 * t) ** 2, math.cosh(2.0 * t) / (1 + (t == 0.0)))
+                 for t in (k * _T_STEP for k in range(155)))
+_V_NODES = tuple((0.25 * v * v, math.exp(-0.5 * v * v) / (1 + (v == 0.0)))
+                 for v in (k * _V_STEP for k in range(29)))
+_KERNEL_TOL = 1e-9  # the spectral core's default rel_tol, gated at 10x as there
+
+
+@functools.lru_cache(maxsize=64)
+def acoustic_kernel(a: float) -> float:
+    """e^a a^2 K2(a) at a = hbar omega / (2 theta) >= 0, memoized for phi sweeps:
+    2 + 2a below a = 1e-8 and Hankel's sqrt(pi/2) a^1.5 (1 + 15/(8a)) above 1e9
+    (exact in double precision; inf from a ~ 2.7e205), else the trapezoid rule on
+    the tables above, whose half-step sum off by 10 rel_tol is a QuadratureError."""
+    if a < 1e-8:
+        return 2.0 + 2.0 * a
+    if a > 1e9:
+        return math.sqrt(0.5 * math.pi) * a * math.sqrt(a) * (1.0 + 1.875 / a)
+    if a < 4.0:  # t nodes with a (cosh t - 1) > 50 add below 1e-17 of the sum
+        count = int(math.acosh(1.0 + 50.0 / a) / _T_STEP) + 2
+        terms = [math.exp(-a * c) * w for c, w in _T_NODES[:count]]
+    else:
+        terms = [g * (1.0 + 8.0 * w * (1.0 + w)) / math.sqrt(1.0 + w)
+                 for q, g in _V_NODES for w in (q / a,)]
+    total = sum(terms)
+    estimate = abs(total - 2.0 * sum(terms[::2])) / total
+    if not estimate <= 10.0 * _KERNEL_TOL:
+        raise QuadratureError(f"acoustic kernel error estimate {estimate:.3e} exceeds 10 x "
+                              f"rel_tol = {_KERNEL_TOL:.1e} at s = {2.0 * a:.6e}", estimate)
+    return (a * a * _T_STEP if a < 4.0 else a * math.sqrt(a) * _V_STEP) * total
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,49 @@
+import importlib.util
 import os
+import tokenize
 
 import numpy as np
 import pytest
 
 import multivalley as mv
 from multivalley.quadrature import _CHUNK_NODES, DEFAULT_QUADRATURE, _integrate
+
+# The test-only dependencies, by the name a test module's code uses for them:
+# scipy, the brute-force oracles of multivalley.oracles (which import scipy)
+# and mpmath.  The runtime itself needs numpy alone.
+TEST_ONLY = {"scipy": "scipy", "oracles": "scipy", "mpmath": "mpmath"}
+LEFT_OUT = pytest.StashKey[list]()
+
+
+def _installed(package: str) -> bool:
+    try:
+        return importlib.util.find_spec(package) is not None
+    except (ImportError, ValueError):  # blocked by an import hook or in sys.modules
+        return False
+
+
+def pytest_ignore_collect(collection_path, config):
+    """Leave out a test module whose code (not its strings or comments) names
+    a test-only dependency that is not installed, so that on the minimal
+    install (numpy and pytest) the suite is every module that can run there."""
+    if collection_path.suffix != ".py" or not collection_path.name.startswith("test_"):
+        return None
+    with tokenize.open(collection_path) as source:
+        names = {token.string for token in tokenize.generate_tokens(source.readline)
+                 if token.type == tokenize.NAME}
+    missing = sorted({TEST_ONLY[name] for name in names & TEST_ONLY.keys()
+                      if not _installed(TEST_ONLY[name])})
+    if not missing:
+        return None
+    config.stash.setdefault(LEFT_OUT, []).append(
+        f"{collection_path.name} (needs {', '.join(missing)})")
+    return True
+
+
+def pytest_terminal_summary(terminalreporter, config):
+    if config.stash.get(LEFT_OUT, []):
+        terminalreporter.write_line("not collected, a test-only dependency is not installed: "
+                                    + "; ".join(config.stash[LEFT_OUT]))
 
 
 @pytest.fixture

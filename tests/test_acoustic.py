@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 import multivalley as mv
-from multivalley import quadrature
+from multivalley.acoustic import _rates
 from multivalley.constants import HBAR
 from multivalley.errors import RegimeError
 from multivalley.impurity import relaxation_impurity
-from multivalley.quadrature import _kernel, _kernels
+from multivalley.special import acoustic_kernel
 
 
 def omega_for_a(a, theta):
@@ -101,20 +101,11 @@ class TestAbsorptionAcoustic:
 
 
 @pytest.fixture
-def kernel_calls(monkeypatch):
-    """The s arrays of every quadrature call the acoustic kernel makes, with
-    the single-frequency memo emptied first."""
-    calls = []
-    integrate = quadrature._integrate
-
-    def counting(g, s, rel_tol):
-        calls.append(s.copy())
-        return integrate(g, s, rel_tol)
-
-    monkeypatch.setattr(quadrature, "_integrate", counting)
-    _kernel.cache_clear()
-    yield calls
-    _kernel.cache_clear()
+def kernel_misses():
+    """The number of kernel evaluations so far, the memo emptied first."""
+    acoustic_kernel.cache_clear()
+    yield lambda: acoustic_kernel.cache_info().misses
+    acoustic_kernel.cache_clear()
 
 
 def acoustic_config(valleys, sweep):
@@ -129,28 +120,29 @@ def acoustic_config(valleys, sweep):
 class TestKernelReuse:
     @pytest.mark.parametrize("thetas", [[300.0] * 4, [300.0, 300.0, 710.0, 710.0],
                                         [150.0, 300.0, 710.0, 2900.0]])
-    def test_phi_sweep_evaluates_each_temperature_once(self, kernel_calls, thetas):
+    def test_phi_sweep_evaluates_each_temperature_once(self, kernel_misses, thetas):
         config = acoustic_config(
             {"preset": "Ge4", "n": 1e16, "theta_K": thetas},
             {"kind": "phi", "min": 0.0, "max": 3.0, "points": 25, "omega": 3.1e13},
         )
         mv.run_sweep(config)
-        assert len(kernel_calls) == len(set(thetas))
-        assert all(s.size == 1 for s in kernel_calls)
+        assert kernel_misses() == len(set(thetas))
         mv.run_sweep(config)  # the same frequency again: the memo answers
-        assert len(kernel_calls) == len(set(thetas))
+        assert kernel_misses() == len(set(thetas))
 
-    def test_omega_sweep_is_batched(self, kernel_calls):
+    def test_omega_sweep_evaluates_each_frequency_once(self, kernel_misses):
+        # valleys of one temperature share each frequency's kernel
         config = acoustic_config(
-            {"preset": "Ge4", "n": 1e16, "theta_K": 4.2},
+            {"preset": "Ge4", "n": 1e16, "theta_K": [4.2, 4.2, 300.0, 300.0]},
             {"kind": "omega", "min": 1e10, "max": 1e16, "points": 200},
         )
         mv.run_sweep(config)
-        assert [s.size for s in kernel_calls] == [200]
+        assert kernel_misses() == 2 * 200
 
-    def test_batch_matches_single_frequency(self):
-        # a row's value does not depend on the pass it shares with other rows
-        s = np.geomspace(1e-9, 4e3, 200)
-        batched = _kernels(s)
-        for s_j, value in zip(s.tolist(), batched):
-            assert value == pytest.approx(_kernels(np.array([s_j]))[0], rel=2e-15, abs=0)
+    def test_batch_matches_single_frequency(self, ge_material, theta_300):
+        # a row's value does not depend on the sweep it belongs to
+        valleys = mv.load_preset("Ge4").with_population(1e16, theta_300)
+        omegas = [2.0 * theta_300 * a / HBAR for a in np.geomspace(5e-10, 2e3, 200).tolist()]
+        for omega, row in zip(omegas, _rates(valleys, ge_material, omegas)):
+            acoustic_kernel.cache_clear()
+            assert row == _rates(valleys, ge_material, [omega])[0]

@@ -1,6 +1,7 @@
-"""numpy is confined to the general regime's spectral core: importing the
-package, parsing a config, the CLI's start-up and every closed-form sweep run
-in an interpreter where ``import numpy`` fails.  Needs numpy and pytest only.
+"""numpy is confined to the general impurity regime's spectral core:
+importing the package, parsing a config, the CLI's start-up, every
+closed-form sweep and the acoustic mechanism in every regime run in an
+interpreter where ``import numpy`` fails.  Needs numpy and pytest only.
 """
 
 import json
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from multivalley import parse_config, run_sweep, write_csv
+from multivalley import absorption_acoustic, emission_acoustic, parse_config, run_sweep, write_csv
 
 ROOT = Path(__file__).resolve().parents[1]
 DOCS = ROOT / "docs"
@@ -22,6 +23,15 @@ WINDOWS = {
     "quantum": {"kind": "omega", "min": 5e14, "max": 5e15, "points": 12, "scale": "log"},
 }
 BLOCK_NUMPY = "import sys\nsys.modules['numpy'] = None  # any import of numpy now fails\n"
+# General acoustic runs: the docs Si6 phi sweep, a 120-point omega sweep, and
+# a sweep of Ge4 valleys at 4.2 K whose kernel argument reaches a ~ 9e3.
+ACOUSTIC_GENERAL = {
+    "docs-Si6": {},
+    "omega-120": {"sweep": {"kind": "omega", "min": 1e11, "max": 1e16, "points": 120,
+                            "scale": "log"}},
+    "cold": {"valleys": {"preset": "Ge4", "n": 1e16, "theta_K": 4.2}, "observable": "absorption",
+             "sweep": {"kind": "omega", "min": 1e12, "max": 1e16, "points": 60, "scale": "log"}},
+}
 
 
 def run_child(code: str, env: dict) -> str:
@@ -33,7 +43,11 @@ def run_child(code: str, env: dict) -> str:
 
 
 def ge4_doc(**overrides) -> dict:
-    doc = json.loads((DOCS / "config_ge4_spectrum.json").read_text())
+    return doc_from("config_ge4_spectrum.json", **overrides)
+
+
+def doc_from(name: str, **overrides) -> dict:
+    doc = json.loads((DOCS / name).read_text())
     doc.update(overrides)
     doc.pop("output")
     return doc
@@ -75,8 +89,10 @@ def test_out_of_window_cli_without_numpy_exits_three(checkout_env, tmp_path):
     assert not output.exists()
 
 
-@pytest.mark.parametrize("mechanism", ["impurity", "acoustic"])
-def test_general_regime_loads_numpy(checkout_env, tmp_path, mechanism):
+@pytest.mark.parametrize("mechanism,loads", [pytest.param("impurity", True, id="impurity"),
+                                              pytest.param("acoustic", False, id="acoustic")])
+def test_general_regime_loads_numpy(checkout_env, tmp_path, mechanism, loads):
+    # only the impurity integrals need the numpy core
     config, output = tmp_path / "config.json", tmp_path / "child.csv"
     config.write_text(json.dumps(ge4_doc(mechanism=mechanism, regime="general")))
     code = (
@@ -86,4 +102,28 @@ def test_general_regime_loads_numpy(checkout_env, tmp_path, mechanism):
         f"code = main(['--config', {str(config)!r}, '--output', {str(output)!r}])\n"
         "print(before, code, 'numpy' in sys.modules)\n"
     )
-    assert run_child(code, checkout_env) == "False 0 True"
+    assert run_child(code, checkout_env) == f"False 0 {loads}"
+
+
+@pytest.mark.parametrize("overrides", ACOUSTIC_GENERAL.values(), ids=ACOUSTIC_GENERAL.keys())
+def test_general_acoustic_cli_without_numpy(checkout_env, tmp_path, overrides):
+    doc = doc_from("config_si6_hot_polarization.json", **overrides)
+    config, output = tmp_path / "config.json", tmp_path / "child.csv"
+    config.write_text(json.dumps(doc))
+    assert run_child(cli_code(config, output), checkout_env) == "0"
+    expected = tmp_path / "in_process.csv"
+    write_csv(run_sweep(parse_config(json.dumps(doc))), str(expected))
+    assert output.read_bytes() == expected.read_bytes()
+
+
+def test_general_acoustic_observables_without_numpy(checkout_env, ge_material, single_valley,
+                                                    pol_skew):
+    # the dataclass reprs rebuild the same objects, floats bit for bit
+    args = (single_valley, ge_material, 3.0e13, pol_skew, "general")
+    code = (
+        BLOCK_NUMPY
+        + "from multivalley import *\n"
+        + f"print(repr(absorption_acoustic{args!r}), repr(emission_acoustic{args!r}.dW_dOmega))\n"
+    )
+    expected = [repr(absorption_acoustic(*args)), repr(emission_acoustic(*args).dW_dOmega)]
+    assert run_child(code, checkout_env).split() == expected

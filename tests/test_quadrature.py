@@ -221,7 +221,7 @@ class TestImportPath:
 
     def test_acoustic_general_loads_no_scipy(self, checkout_env, ge_material,
                                             single_valley, pol_skew):
-        # the acoustic kernel comes from the quadrature core, not from Bessel
+        # the acoustic kernel is its own trapezoid rule, not scipy's Bessel
         # functions; the dataclass reprs rebuild the same objects, floats bit for bit
         args = (single_valley, ge_material, 3.0e13, pol_skew, "general")
         code = (

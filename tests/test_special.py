@@ -1,15 +1,18 @@
 import math
+import re
 
 import mpmath as mp
 import numpy as np
 import pytest
 
 import multivalley as mv
-from multivalley.constants import EULER_GAMMA
-from multivalley.errors import RegimeError
+from multivalley import special
+from multivalley.constants import EULER_GAMMA, HBAR
+from multivalley.errors import QuadratureError, RegimeError
 from multivalley.oracles import b_param, psi
-from multivalley.quadrature import _kernel, _shape_b12
+from multivalley.quadrature import DEFAULT_QUADRATURE, _shape_b12
 from multivalley.special import (
+    acoustic_kernel,
     bessel_k0,
     bessel_k0e,
     bessel_k1,
@@ -243,19 +246,20 @@ def mp_kernel(a: float):
 
 
 class TestAcousticKernel:
-    # The kernel of the acoustic rate core, e^a a^2 K2(a), as a function of
-    # s = 2a; e^-a times it is -a^3 d/da [K1(a)/a] = a^2 K2(a).
+    # The kernel of the acoustic rate core, e^a a^2 K2(a); e^-a times it is
+    # -a^3 d/da [K1(a)/a] = a^2 K2(a).
 
     def test_small_argument_limit(self):
         a = 1e-4
-        assert _kernel(2.0 * a) * math.exp(-a) == pytest.approx(2.0, rel=1e-4)
+        assert acoustic_kernel(a) * math.exp(-a) == pytest.approx(2.0, rel=1e-4)
 
     def test_reference_value(self):
-        assert _kernel(2.0) * math.exp(-1.0) == pytest.approx(1.6248388986351775, rel=1e-12)
+        assert acoustic_kernel(1.0) * math.exp(-1.0) == pytest.approx(
+            1.6248388986351775, rel=1e-12)
 
     def test_positive_everywhere(self):
         for a in np.geomspace(1e-12, 1e6, 25):
-            assert _kernel(2.0 * float(a)) > 0.0
+            assert acoustic_kernel(float(a)) > 0.0
 
     def test_matches_central_difference(self):
         # independent route: numerically differentiate K1(a)/a
@@ -264,27 +268,69 @@ class TestAcousticKernel:
             h = a * 1e-5
             ratio = lambda t: bessel_k1(t) / t
             derivative = (ratio(a + h) - ratio(a - h)) / (2.0 * h)
-            assert -_kernel(2.0 * a) * math.exp(-a) == pytest.approx(
+            assert -acoustic_kernel(a) * math.exp(-a) == pytest.approx(
                 a**3 * derivative, rel=1e-6, abs=0
             )
 
     def test_scaled_vanishing_argument_limit(self):
-        # a*a underflows and K2(a) overflows here, or a is 0: the quadrature
-        # form has neither problem and meets the limit 2 + 2a + O(a^2)
-        for a in (0.0, 1e-300, 1e-120, 1e-100):
-            assert _kernel(2.0 * a) == pytest.approx(float(mp_kernel(a)), rel=1e-13, abs=0)
+        # a*a underflows and K2(a) overflows here, or a is 0: the limit
+        # 2 + 2a + O(a^2) has neither problem.  4e-66 is omega = 1e-50 rad/s
+        # at 1e4 K, the corner of the documented domain.
+        corner = HBAR * 1e-50 / (2.0 * mv.theta_from_kelvin(1e4))
+        assert 3e-66 < corner < 5e-66
+        for a in (0.0, 1e-300, 1e-120, 1e-100, corner):
+            assert acoustic_kernel(a) == pytest.approx(float(mp_kernel(a)), rel=2e-15, abs=0)
 
     def test_scaled_against_mpmath(self):
         # the kernel the acoustic rate core uses, far beyond the unscaled
         # domain: a > 700 is reached by cold acoustic sweeps
-        grid = np.geomspace(1e-12, 1e6, 80)
+        grid = np.geomspace(1e-12, 1e12, 241)
         assert (grid > 700.0).any()
         for a in grid:
             a = float(a)
-            assert _kernel(2.0 * a) == pytest.approx(float(mp_kernel(a)), rel=1e-13, abs=0)
+            assert acoustic_kernel(a) == pytest.approx(float(mp_kernel(a)), rel=2e-15, abs=0)
+
+    @pytest.mark.parametrize("edge", [1e-8, 4.0, 1e9])
+    def test_both_sides_of_each_rule_change(self, edge):
+        # the limit 2 + 2a, the t table, the v table and Hankel's form
+        below, above = math.nextafter(edge, 0.0), math.nextafter(edge, math.inf)
+        for a in (edge * (1.0 - 1e-6), below, edge, above, edge * (1.0 + 1e-6)):
+            assert acoustic_kernel(a) == pytest.approx(float(mp_kernel(a)), rel=2e-15, abs=0)
+
+    @pytest.mark.parametrize("a", [3e205, 1e300, math.inf])
+    def test_beyond_double_range_is_inf(self, a):
+        # s = 2a above ~5e205: inf, which the sweep reports naming its
+        # column, and no floating-point exception here
+        assert acoustic_kernel(a) == math.inf
+        assert math.isfinite(acoustic_kernel(2e205))
+
+    def test_error_estimate_far_below_the_gate(self, monkeypatch):
+        # a negative gate turns every estimate of the trapezoid rule into an
+        # error that carries it; the half-step rule stays within 1e-10 of
+        # the value, a hundredth of the gate at the spectral core's tolerance
+        assert special._KERNEL_TOL == DEFAULT_QUADRATURE.rel_tol
+        monkeypatch.setattr(special, "_KERNEL_TOL", -1.0)
+        estimates = []
+        for a in np.geomspace(1e-8, 1e9, 241).tolist():
+            acoustic_kernel.cache_clear()
+            with pytest.raises(QuadratureError, match=re.escape(f"at s = {2.0 * a:.6e}")) as info:
+                acoustic_kernel(a)
+            estimates.append(info.value.estimate)
+        acoustic_kernel.cache_clear()
+        assert 0.0 < max(estimates) < 0.01 * 10.0 * DEFAULT_QUADRATURE.rel_tol
+        assert min(estimates) >= 0.0
+
+    def test_coarse_table_misses_the_gate(self, monkeypatch):
+        # every eighth t node, a step of 1.2: the half-step rule is far off
+        monkeypatch.setattr(special, "_T_NODES", special._T_NODES[::8])
+        monkeypatch.setattr(special, "_T_STEP", 8 * special._T_STEP)
+        acoustic_kernel.cache_clear()
+        with pytest.raises(QuadratureError, match=re.escape("10 x rel_tol = 1.0e-09 at s = 2.0")):
+            acoustic_kernel(1.0)
+        acoustic_kernel.cache_clear()
 
     def test_scaled_consistency(self):
         for a in (0.3, 2.0, 15.0):
-            assert _kernel(2.0 * a) * math.exp(-a) == pytest.approx(
+            assert acoustic_kernel(a) * math.exp(-a) == pytest.approx(
                 a * a * bessel_k2(a), rel=1e-13, abs=0
             )
