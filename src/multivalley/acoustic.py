@@ -91,16 +91,16 @@ def _classical_absorption(valleys: ValleySet, material: Material,
 
 def _quantum_absorption(valleys: ValleySet, material: Material,
                         omegas: Sequence[float]) -> list[Terms]:
-    """Quantum closed-form terms, one per omega."""
+    """Quantum closed-form source, one Terms per omega: the leading term of the
+    large-argument kernel, (4 pi/3) e0^2/(sqrt(eps0) c omega^2) times
+    n_i sqrt(s_i) times :func:`_tensor_pair`.  Absorption multiplies it by the
+    next order, 1 + 3/s_i, and emission by e^{-s_i} (``emission._WEIGHTS``)."""
     check_quantum_acoustic(valleys, omegas)
     coeff, scale = _QUANTUM_COEFF * E_CHARGE**2, math.sqrt(material.eps0) * C_LIGHT
     pair, populated = _tensor_pair(material), _populated(valleys)
-    terms = []
-    for omega in omegas:
-        terms.append((coeff / (scale * omega**2), [
-            (v, v.n * math.sqrt(2.0 * a) * (1.0 + 1.5 / a), *pair)
-            for v in populated for a in [HBAR * omega / (2.0 * v.theta)]]))
-    return terms
+    return [(coeff / (scale * omega**2),
+             [(v, v.n * math.sqrt(HBAR * omega / v.theta), *pair) for v in populated])
+            for omega in omegas]
 
 
 def absorption_acoustic(
@@ -117,9 +117,9 @@ def absorption_acoustic(
                K2e(a) = e^a K2(a)
     classical: (32 sqrt(pi)/3) (e0^2/sqrt(eps0) c omega^2) sum_i n_i {weight}
     quantum:   (4 pi/3) (e0^2/sqrt(eps0) c omega^2) sum_i n_i
-               sqrt(hbar omega/theta_i) (1 + 3/(2 a_i)) {weight},
-               the large-argument form of the scaled kernel: an omega^-1.5
-               law with no exponential cut.
+               sqrt(hbar omega/theta_i) (1 + 3 theta_i/(hbar omega)) {weight},
+               the large-argument form of the scaled kernel to next order: an
+               omega^-1.5 law with no exponential cut.
 
     {weight} = (1 - cos^2 phi_i)/(m_perp tau_perp0) + cos^2 phi_i/(m_par tau_par0).
     omega outside [1e-50, 1e100] rad/s raises ConfigError (:func:`geometry.check_omega`).

@@ -16,9 +16,10 @@ unit volume, and the mode density is omega^2/(2 pi c)^3, so
 
 the same factor for both mechanisms.  With K_i = (1 - e^{-s_i}) r_i, e^{-s_i}
 r_i is K_i times the Bose factor 1/(e^{s_i} - 1).  So emission has no formula
-of its own: in every regime it projects the absorption side with that factor
-and the regime's weight in ``_WEIGHTS``, quantum acoustic emission being the
-one exception (:func:`_quantum_acoustic`).
+of its own: in every regime and for both mechanisms it projects the source of
+absorption with the weights in ``_WEIGHTS``.  Quantum acoustic emission is
+Kirchhoff's image of the leading term n_i sqrt(s_i) of its absorption, which
+absorption multiplies by 1 + 3/s_i.
 
 Output convention: ``dW_dOmega`` is energy per unit time, per steradian, per
 unit angular-frequency interval, per unit volume (erg s^-1 sr^-1 cm^-3 per
@@ -31,13 +32,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from . import acoustic, impurity
-from .constants import C_LIGHT, E_CHARGE, HBAR
-from .geometry import (
-    Material, Polarization, Terms, ValleySet, _observe, _populated, check_omega,
-)
+from .constants import C_LIGHT, HBAR
+from .geometry import Material, Polarization, Terms, ValleySet, _observe, check_omega
 
 # Re-exported: perfbench/tracing.py looks p_plus up in this module.
 from .impurity import p_plus  # noqa: F401
@@ -50,9 +49,6 @@ __all__ = [
     "emission_impurity",
     "emission_acoustic",
 ]
-
-_QUANTUM_ACOUSTIC_COEFF = 1.0 / (6.0 * math.pi**2)
-
 
 @dataclass(frozen=True)
 class EmissionResult:
@@ -87,53 +83,36 @@ def mode_density(omega: float, volume: float) -> float:
 # The weight of each valley's source term in an observable, a function of
 # s_i = hbar omega/theta_i.  The general source is the rate r_i before
 # stimulated emission: absorption weighs it with 1 - e^{-s_i}, emission with
-# e^{-s_i}.  A closed form's source already is K_i, so its absorption has no
-# entry, and its emission applies the asymptote of the Bose factor
-# 1/(e^{s_i} - 1): 1/s_i for s_i << 1, e^{-s_i} for s_i >> 1.
+# e^{-s_i}.  A closed form's source is K_i, or for quantum acoustic absorption
+# its leading term; emission applies the asymptote of the Bose factor
+# 1/(e^{s_i} - 1): 1/s_i for s_i << 1, e^{-s_i} for s_i >> 1.  A key that
+# also names a mechanism holds for that mechanism alone: quantum acoustic
+# absorption multiplies its leading term by the next order of the kernel,
+# 1 + 3/s_i, which emission leaves out.
 _WEIGHTS = {
     (Regime.GENERAL, Observable.ABSORPTION): lambda s: -math.expm1(-s),
     (Regime.GENERAL, Observable.EMISSION): lambda s: math.exp(-s),
     (Regime.CLASSICAL, Observable.EMISSION): lambda s: 1.0 / s,
     (Regime.QUANTUM, Observable.EMISSION): lambda s: math.exp(-s),
+    (Regime.QUANTUM, Observable.ABSORPTION, Mechanism.ACOUSTIC): lambda s: 1.0 + 3.0 / s,
 }
 
 
 def _weigh(
-    source: Terms, material: Material, omega: float, regime: Regime, observable: Observable,
+    source: Terms, material: Material, omega: float, observable: Observable,
+    weight: Callable[[float], float] | None,
 ) -> Terms:
-    """The terms of ``observable`` from its source: each w_i times its weight
-    in ``_WEIGHTS``, and for emission (Kirchhoff's law) the factor times the
-    flux of one photon times the mode density,
+    """The terms of ``observable`` from its source: each w_i times ``weight``
+    (its ``_WEIGHTS`` entry, None for none), and for emission (Kirchhoff's
+    law) the factor times the flux of one photon times the mode density,
     hbar omega^3 sqrt(eps0)/(8 pi^3 c^2)."""
-    weight = _WEIGHTS.get((regime, observable))
-    if weight is None:
-        return source
     factor, per_valley = source
-    per_valley = [(v, w * weight(HBAR * omega / v.theta), rp, rl) for v, w, rp, rl in per_valley]
+    if weight is not None:
+        per_valley = [(v, w * weight(HBAR * omega / v.theta), rp, rl)
+                      for v, w, rp, rl in per_valley]
     if observable is Observable.EMISSION:
         factor *= HBAR * omega**3 * math.sqrt(material.eps0) / (8.0 * math.pi**3 * C_LIGHT**2)
     return factor, per_valley
-
-
-def _quantum_acoustic(valleys: ValleySet, material: Material,
-                      omegas: Sequence[float]) -> list[Terms]:
-    """(e0^2/6 pi^2 c^3) (n_i/sqrt(theta_i)) (hbar omega)^{3/2}
-    e^{-hbar omega/theta_i} times the tensor pair, one Terms per omega.
-
-    The one emission formula of its own: quantum acoustic absorption keeps
-    the 1 + 3/(2 a_i) correction of the large-argument kernel and this form
-    does not, so the two are no Kirchhoff pair (23 % apart at s = 10, 7 % at
-    s = 40); reconciling them would change the physics of one of them.
-    """
-    acoustic.check_quantum_acoustic(valleys, omegas)
-    coeff = _QUANTUM_ACOUSTIC_COEFF * E_CHARGE**2 / C_LIGHT**3
-    pair, populated = acoustic._tensor_pair(material), _populated(valleys)
-    terms = []
-    for omega in omegas:
-        terms.append((coeff * (HBAR * omega) ** 1.5, [
-            (v, v.n / math.sqrt(v.theta) * math.exp(-HBAR * omega / v.theta), *pair)
-            for v in populated]))
-    return terms
 
 
 def _terms(
@@ -141,21 +120,19 @@ def _terms(
     valleys: ValleySet, material: Material, omegas: Sequence[float],
 ) -> Iterator[list[Terms]]:
     """Per-valley terms of each observable (ABSORPTION or EMISSION), one list
-    per frequency, yielded in grid order.  Both observables project from one
-    evaluation of the source, the mechanism module's ``_rates`` or closed-form
-    absorption; quantum acoustic emission alone has its own, unweighed formula.
-    Each source takes the whole grid and checks its regime guards at every
+    per frequency, yielded in grid order.  Every observable projects from one
+    evaluation of one source, the mechanism module's ``_rates`` or closed-form
+    absorption, with its weight in ``_WEIGHTS``, looked up once per call.  The
+    source takes the whole grid and checks its regime guards at every
     frequency before it computes a value; the weighing runs frequency by
-    frequency, so only the sources are held for the whole grid."""
+    frequency, so only the source is held for the whole grid."""
     module = impurity if mechanism is Mechanism.IMPURITY else acoustic
     source = (module._rates if regime is Regime.GENERAL else module._classical_absorption
               if regime is Regime.CLASSICAL else module._quantum_absorption)
-    unweighed = Observable.EMISSION if source is acoustic._quantum_absorption else None
-    own = _quantum_acoustic(valleys, material, omegas) if unweighed in observables else None
-    terms = source(valleys, material, omegas) if observables != [unweighed] else None
-    for j, omega in enumerate(omegas):
-        yield [own[j] if o is unweighed else _weigh(terms[j], material, omega, regime, o)
+    weights = [(o, _WEIGHTS.get((regime, o, mechanism)) or _WEIGHTS.get((regime, o)))
                for o in observables]
+    for omega, terms in zip(omegas, source(valleys, material, omegas)):
+        yield [_weigh(terms, material, omega, o, weight) for o, weight in weights]
 
 
 def _value(
@@ -215,8 +192,8 @@ def emission_acoustic(
     classical: (4 e0^2/3 pi^{5/2} c^3) sum_i n_i theta_i {weight}: classical
                absorption times theta_i/(hbar omega), flat in omega.
     quantum:   (e0^2/6 pi^2 c^3) sum_i (n_i/sqrt(theta_i)) (hbar omega)^{3/2}
-               e^{-hbar omega/theta_i} {weight}, not Kirchhoff's image of
-               quantum absorption (see ``_quantum_acoustic``)
+               e^{-hbar omega/theta_i} {weight}: Kirchhoff's image of the
+               leading term of quantum absorption, without its 1 + 3/s_i.
 
     omega outside [1e-50, 1e100] rad/s raises ConfigError (:func:`geometry.check_omega`).
     """

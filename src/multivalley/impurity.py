@@ -38,9 +38,7 @@ from .geometry import (
     check_omega,
     incident_flux,
 )
-from .modes import (
-    QUANTUM_SCREENING_MIN, Mechanism, Observable, Regime, check_window, spectral_core,
-)
+from .modes import QUANTUM_SCREENING_MIN, Mechanism, Observable, Regime, check_window
 from .special import coulomb_log, psi_infinity
 
 __all__ = [
@@ -95,7 +93,9 @@ def spectral_endpoints(material: Material, theta: float, omega: float) -> tuple[
     (1 - c) I1 + c (2 m_perp/m_par) I2 with c = cos^2(phi).  Splitting this
     way keeps the result exactly affine in c.
     """
-    i1, i2 = spectral_core()._endpoints(material, theta, [omega]).ravel().tolist()
+    from . import quadrature  # at call time: the closed forms run without numpy
+
+    i1, i2 = quadrature._endpoints(material, theta, [omega]).ravel().tolist()
     return i1, i2
 
 
@@ -127,9 +127,11 @@ def _rates(valleys: ValleySet, material: Material, omegas: Sequence[float]) -> l
     :func:`spectral_endpoints`, which runs over the whole grid once per
     distinct valley temperature.
     """
+    from . import quadrature  # at call time: the closed forms run without numpy
+
     populated = _populated(valleys)
     endpoints = {
-        theta: spectral_core()._endpoints(material, theta, omegas).T.tolist()
+        theta: quadrature._endpoints(material, theta, omegas).T.tolist()
         for theta in dict.fromkeys(v.theta for v in populated)
     }
     coeff = _GENERAL_COEFF * _collision_scale(material)

@@ -8,9 +8,7 @@ Closed forms refuse to evaluate outside their validity window
 
 from __future__ import annotations
 
-import functools
 from enum import Enum
-from types import ModuleType
 from typing import TYPE_CHECKING, Sequence, TypeVar
 
 from .constants import HBAR
@@ -25,7 +23,6 @@ __all__ = [
     "Observable",
     "parse",
     "check_window",
-    "spectral_core",
     "CLASSICAL_S_MAX",
     "QUANTUM_S_MIN",
     "QUANTUM_SCREENING_MIN",
@@ -96,14 +93,3 @@ def check_window(valleys: ValleySet, omegas: Sequence[float], regime: Regime, fo
                     f"{regime.value} {form} form needs hbar*omega/theta {relation} {bound}, "
                     f"got {s:.3e} at omega = {omega:.6e} rad/s"
                 )
-
-
-@functools.cache
-def spectral_core() -> ModuleType:
-    """The general impurity regime's numpy core, the ``quadrature`` module,
-    imported on the first call: the closed forms and the acoustic mechanism
-    never load numpy.  Memoized, because a phi sweep asks for it at every
-    row, where an import statement would cost a few microseconds."""
-    from . import quadrature
-
-    return quadrature

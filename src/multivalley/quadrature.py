@@ -19,11 +19,10 @@ unit-sphere rule of the brute-force oracles lives in ``oracles``.
 This is the one runtime module that imports numpy, so it also holds the
 batched integrand of the general impurity regime: the endpoint integrals
 (:func:`_endpoints`, with the array form :func:`_shape_b12` of the angular
-factors).  ``impurity`` reaches it through ``modes.spectral_core``, which
-imports this module on the first general-regime impurity call, so the closed
-forms, the acoustic mechanism in every regime (its kernel is
-``special.acoustic_kernel``), config parsing and the CLI's start-up run
-without numpy.
+factors).  ``impurity`` imports this module at call time, on the first
+general-regime impurity call, so the closed forms, the acoustic mechanism in
+every regime (its kernel is ``special.acoustic_kernel``), config parsing and
+the CLI's start-up run without numpy.
 
 Floating-point policy, the library's and the CLI's: :func:`_integrate` traps
 overflow, division by zero and nan (not underflow to zero), each a

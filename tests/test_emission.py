@@ -301,6 +301,20 @@ class TestKirchhoffClosedForms:
             want = self._classical_impurity(valleys, ge_material, pol)
             assert got.dW_dOmega == pytest.approx(want, rel=1e-12, abs=0.0)
 
+    @staticmethod
+    def _quantum_acoustic(valleys, material, omega, pol):
+        # (e0^2/6 pi^2 c^3) (hbar omega)^{3/2}
+        #   sum_i n_i theta_i^{-1/2} e^{-hbar omega/theta_i} {weight}
+        total = 0.0
+        for v in valleys:
+            c2 = cos_phi(v, pol) ** 2
+            weight = (
+                (1.0 - c2) / (material.m_perp * material.tau_perp0)
+                + c2 / (material.m_par * material.tau_par0)
+            )
+            total += v.n / math.sqrt(v.theta) * math.exp(-HBAR * omega / v.theta) * weight
+        return E_CHARGE**2 / (6.0 * math.pi**2 * C_LIGHT**3) * (HBAR * omega) ** 1.5 * total
+
     @pytest.mark.parametrize("s_hot", [10.0, 40.0, 200.0])
     def test_quantum_impurity(self, ge_material, theta_300, s_hot):
         valleys = self._valleys(theta_300)
@@ -319,4 +333,14 @@ class TestKirchhoffClosedForms:
             pol = mv.Polarization.from_vector(vec)
             got = mv.emission_acoustic(valleys, ge_material, omega, pol, "classical")
             want = self._classical_acoustic(valleys, ge_material, pol)
+            assert got.dW_dOmega == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("s_hot", [10.0, 40.0, 200.0])
+    def test_quantum_acoustic(self, ge_material, theta_300, s_hot):
+        valleys = self._valleys(theta_300)
+        omega = omega_for_s(s_hot, 1.3 * theta_300)
+        for vec in self.POLS:
+            pol = mv.Polarization.from_vector(vec)
+            got = mv.emission_acoustic(valleys, ge_material, omega, pol, "quantum")
+            want = self._quantum_acoustic(valleys, ge_material, omega, pol)
             assert got.dW_dOmega == pytest.approx(want, rel=1e-12, abs=0.0)
