@@ -16,10 +16,10 @@ half the energy integral, a one-parameter integral that
 ``special.acoustic_kernel`` evaluates in Python floats, so that no regime of
 this mechanism imports numpy.
 
-:func:`_rates` is the general-regime rate core: per valley and frequency, the
-absorption rate before stimulated emission across and along the valley axis.
-Absorption weighs it with 1 - e^{-s_i}; ``emission`` derives the spontaneous
-emission from the same rates by detailed balance.
+:func:`_rates` is the general-regime rate core: per valley, columns over the
+frequency grid of the absorption rate before stimulated emission across and
+along the valley axis.  Absorption weighs it with 1 - e^{-s_i}, and emission,
+by detailed balance, with e^{-s_i} (``emission._WEIGHTS``).
 """
 
 from __future__ import annotations
@@ -59,48 +59,48 @@ def check_quantum_acoustic(valleys: ValleySet, omegas: Sequence[float]) -> None:
     check_window(valleys, omegas, Regime.QUANTUM, "acoustic")
 
 
-def _rates(valleys: ValleySet, material: Material, omegas: Sequence[float]) -> list[Terms]:
-    """General-regime rate core: at each omega, per populated valley,
-    (valley, 1, r_perp, r_par): the absorption coefficient before the factor
-    1 - e^{-2 a_i}, (16 sqrt(pi)/3 sqrt(eps0)) (e0^2/c hbar omega^3) times
-    n_i theta_i e^{a_i} a_i^2 K2(a_i) times :func:`_tensor_pair`.  Valleys of
-    one temperature share the kernel through its memo.
+def _rates(valleys: ValleySet, material: Material, omegas: Sequence[float]) -> Terms:
+    """General-regime rate core: per populated valley, weights of 1 and the
+    pair (r_perp, r_par) at every omega: the absorption coefficient before the
+    factor 1 - e^{-2 a_i}, (16 sqrt(pi)/3 sqrt(eps0)) (e0^2/c hbar omega^3)
+    times n_i theta_i e^{a_i} a_i^2 K2(a_i) times :func:`_tensor_pair`, the
+    kernel evaluated over the grid once per distinct valley temperature.
     """
     populated = _populated(valleys)
     pair_perp, pair_par = _tensor_pair(material)
-    terms = []
-    for omega in omegas:
-        rates = []
-        for v in populated:
-            scale = v.n * v.theta * acoustic_kernel(HBAR * omega / (2.0 * v.theta))
-            rates.append((v, 1.0, scale * pair_perp, scale * pair_par))
-        factor = _GENERAL_COEFF * E_CHARGE**2 / (math.sqrt(material.eps0) * C_LIGHT * HBAR * omega**3)
-        terms.append((factor, rates))
-    return terms
+    kernels = {theta: [acoustic_kernel(HBAR * omega / (2.0 * theta)) for omega in omegas]
+               for theta in dict.fromkeys(v.theta for v in populated)}
+    columns = [(v, [1.0] * len(omegas), [v.n * v.theta * k * pair_perp for k in kernels[v.theta]],
+                [v.n * v.theta * k * pair_par for k in kernels[v.theta]]) for v in populated]
+    root_eps0 = math.sqrt(material.eps0)
+    return [_GENERAL_COEFF * E_CHARGE**2 / (root_eps0 * C_LIGHT * HBAR * omega**3)
+            for omega in omegas], columns
 
 
 def _classical_absorption(valleys: ValleySet, material: Material,
-                          omegas: Sequence[float]) -> list[Terms]:
-    """Classical closed-form terms, one per omega, sharing one per-valley list."""
+                          omegas: Sequence[float]) -> Terms:
+    """Classical closed-form terms: (32 sqrt(pi)/3) e0^2/(sqrt(eps0) c omega^2)
+    times n_i times :func:`_tensor_pair`."""
     check_classical_acoustic(valleys, omegas)
     coeff, scale = CLASSICAL_COEFF_ACOUSTIC * E_CHARGE**2, math.sqrt(material.eps0) * C_LIGHT
-    pair = _tensor_pair(material)
-    terms = [(v, v.n, *pair) for v in _populated(valleys)]
-    return [(coeff / (scale * omega**2), terms) for omega in omegas]
+    (pair_perp, pair_par), count = _tensor_pair(material), len(omegas)
+    columns = [(v, [v.n] * count, [pair_perp] * count, [pair_par] * count)
+               for v in _populated(valleys)]
+    return [coeff / (scale * omega**2) for omega in omegas], columns
 
 
 def _quantum_absorption(valleys: ValleySet, material: Material,
-                        omegas: Sequence[float]) -> list[Terms]:
-    """Quantum closed-form source, one Terms per omega: the leading term of the
-    large-argument kernel, (4 pi/3) e0^2/(sqrt(eps0) c omega^2) times
-    n_i sqrt(s_i) times :func:`_tensor_pair`.  Absorption multiplies it by the
-    next order, 1 + 3/s_i, and emission by e^{-s_i} (``emission._WEIGHTS``)."""
+                        omegas: Sequence[float]) -> Terms:
+    """Quantum closed-form source: the leading term of the large-argument
+    kernel, (4 pi/3) e0^2/(sqrt(eps0) c omega^2) times n_i sqrt(s_i) times
+    :func:`_tensor_pair`.  Absorption multiplies it by the next order,
+    1 + 3/s_i, and emission by e^{-s_i} (``emission._WEIGHTS``)."""
     check_quantum_acoustic(valleys, omegas)
     coeff, scale = _QUANTUM_COEFF * E_CHARGE**2, math.sqrt(material.eps0) * C_LIGHT
-    pair, populated = _tensor_pair(material), _populated(valleys)
-    return [(coeff / (scale * omega**2),
-             [(v, v.n * math.sqrt(HBAR * omega / v.theta), *pair) for v in populated])
-            for omega in omegas]
+    (pair_perp, pair_par), count = _tensor_pair(material), len(omegas)
+    columns = [(v, [v.n * math.sqrt(HBAR * omega / v.theta) for omega in omegas],
+                [pair_perp] * count, [pair_par] * count) for v in _populated(valleys)]
+    return [coeff / (scale * omega**2) for omega in omegas], columns
 
 
 def absorption_acoustic(

@@ -8,26 +8,24 @@ field paths; ``SweepSpec`` and ``RunConfig``, like ``Valley`` and
 ``Material``, check their own domain, so a hand-built or ``replace``d sweep
 or run is refused, or runs, as a parsed one would.
 
-The per-valley terms of the observables come from ``emission._terms``, over
-the whole grid of an omega sweep or at each row of a phi sweep, once the
-regime guards have passed every frequency; with observable ``both`` it runs
-the absorption side once.  Each row projects its polarization from them
-through the cos^2 affine split.  Rows are emitted in grid order, so identical
-configs produce byte-identical CSV files.  The ``workers`` key is accepted and
-validated, but evaluation is serial: it changes neither values nor bytes.
+An omega sweep evaluates its per-valley terms (``emission._terms``) once
+for the whole grid, a phi sweep once per row; the one projection,
+``geometry._project``, weighs them for each requested observable.  Rows come
+in grid order, so identical configs produce byte-identical CSV files.  The
+``workers`` key is accepted and validated, but evaluation is serial: it
+changes neither values nor bytes.
 """
 
 from __future__ import annotations
 
 import contextlib
-import functools
 import json
 import math
 from dataclasses import dataclass
 from typing import Iterator
 
 from .constants import ERG_PER_EV, HBAR, theta_from_ev, theta_from_kelvin
-from .emission import _terms
+from .emission import _terms, _weighings
 from .errors import ConfigError
 from .geometry import (
     Material,
@@ -322,46 +320,37 @@ def parse_config(text: str | bytes) -> RunConfig:
 def run_sweep(config: RunConfig) -> SweepResult:
     """Evaluate the configured sweep; rows are ordered by grid index.
 
-    An omega sweep asks for the per-valley terms of the requested
-    observables over the whole grid at once, a phi sweep at each row; both
-    observables share them, and each row projects its polarization from
-    them.  Every regime checks its guards at every frequency in grid order
-    before it computes a value, so an invalid sweep fails at its first
-    offending frequency, names it, and evaluates no cell; a cell that is not
-    finite raises ``FloatingPointError``.
+    An omega sweep evaluates the per-valley terms over the whole grid at
+    once, a phi sweep at each row; both observables share them and each
+    valley's cos^2 at a polarization.  Every regime checks its guards at
+    every frequency in grid order before it computes a value, so an invalid
+    sweep fails at its first offending frequency, names it, and evaluates no
+    cell; a cell that is not finite raises ``FloatingPointError``.
     """
-    observables = [
-        o for o in (Observable.ABSORPTION, Observable.EMISSION)
-        if config.observable in (o, Observable.BOTH)
-    ]
-    value_columns = [_COLUMNS[o] for o in observables]
+    observables = [o for o in (Observable.ABSORPTION, Observable.EMISSION)
+                   if config.observable in (o, Observable.BOTH)]
     columns = ["phi_rad"] if config.sweep.kind == "phi" else []
-    columns += ["omega_rad_per_s", "hbar_omega_eV", *value_columns, "regime", "mechanism"]
+    columns += ["omega_rad_per_s", "hbar_omega_eV", *(_COLUMNS[o] for o in observables),
+                "regime", "mechanism"]
 
-    terms = functools.partial(
-        _terms, config.mechanism, config.regime, observables, config.valleys, config.material)
-
+    model = (config.mechanism, config.regime, config.valleys, config.material)
+    weighings = _weighings(config.mechanism, config.regime, observables)
+    labels = (config.regime.value, config.mechanism.value)
     grid = config.sweep.grid()
     if config.sweep.kind == "omega":
-        points = [(None, omega, config.polarization) for omega in grid]
-        row_terms = terms(grid)
+        terms = _terms(*model, grid)
+        values = _observe(terms, config.material, grid, config.polarization, weighings)
+        rows = [(omega, HBAR * omega / ERG_PER_EV, *row, *labels)
+                for omega, row in zip(grid, values)]
     else:
-        e1, e2 = config.sweep.plane
-        points = []
+        omega, (e1, e2) = config.sweep.omega, config.sweep.plane
+        rows = []
         for phi in grid:
-            vec = tuple(
-                math.cos(phi) * a + math.sin(phi) * b for a, b in zip(e1, e2)
-            )
-            points.append((phi, config.sweep.omega, Polarization.from_vector(vec)))
-        row_terms = (next(terms([omega])) for _, omega, _ in points)
-
-    rows = []
-    for (phi, omega, pol), row_term in zip(points, row_terms):
-        row: list = [] if phi is None else [phi]
-        row += [omega, HBAR * omega / ERG_PER_EV]
-        row += [_observe(t, pol, o, omega) for o, t in zip(observables, row_term)]
-        row += [config.regime.value, config.mechanism.value]
-        rows.append(tuple(row))
+            pol = Polarization.from_vector(
+                tuple(math.cos(phi) * a + math.sin(phi) * b for a, b in zip(e1, e2)))
+            terms = _terms(*model, [omega])
+            (row,) = _observe(terms, config.material, [omega], pol, weighings)
+            rows.append((phi, omega, HBAR * omega / ERG_PER_EV, *row, *labels))
 
     return SweepResult(columns=tuple(columns), rows=tuple(rows))
 

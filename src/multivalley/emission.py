@@ -16,8 +16,9 @@ unit volume, and the mode density is omega^2/(2 pi c)^3, so
 
 the same factor for both mechanisms.  With K_i = (1 - e^{-s_i}) r_i, e^{-s_i}
 r_i is K_i times the Bose factor 1/(e^{s_i} - 1).  So emission has no formula
-of its own: in every regime and for both mechanisms it projects the source of
-absorption with the weights in ``_WEIGHTS``.  Quantum acoustic emission is
+of its own: in every regime and for both mechanisms, the one projection
+(``geometry._project``) weighs the source of absorption with the entry of
+``_WEIGHTS`` and applies the factor above.  Quantum acoustic emission is
 Kirchhoff's image of the leading term n_i sqrt(s_i) of its absorption, which
 absorption multiplies by 1 + 3/s_i.
 
@@ -32,11 +33,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Sequence
 
 from . import acoustic, impurity
 from .constants import C_LIGHT, HBAR
-from .geometry import Material, Polarization, Terms, ValleySet, _observe, check_omega
+from .geometry import Material, Polarization, Terms, ValleySet, Weighing, _observe, check_omega
 
 # Re-exported: perfbench/tracing.py looks p_plus up in this module.
 from .impurity import p_plus  # noqa: F401
@@ -98,41 +99,22 @@ _WEIGHTS = {
 }
 
 
-def _weigh(
-    source: Terms, material: Material, omega: float, observable: Observable,
-    weight: Callable[[float], float] | None,
-) -> Terms:
-    """The terms of ``observable`` from its source: each w_i times ``weight``
-    (its ``_WEIGHTS`` entry, None for none), and for emission (Kirchhoff's
-    law) the factor times the flux of one photon times the mode density,
-    hbar omega^3 sqrt(eps0)/(8 pi^3 c^2)."""
-    factor, per_valley = source
-    if weight is not None:
-        per_valley = [(v, w * weight(HBAR * omega / v.theta), rp, rl)
-                      for v, w, rp, rl in per_valley]
-    if observable is Observable.EMISSION:
-        factor *= HBAR * omega**3 * math.sqrt(material.eps0) / (8.0 * math.pi**3 * C_LIGHT**2)
-    return factor, per_valley
-
-
-def _terms(
-    mechanism: Mechanism, regime: Regime, observables: list[Observable],
-    valleys: ValleySet, material: Material, omegas: Sequence[float],
-) -> Iterator[list[Terms]]:
-    """Per-valley terms of each observable (ABSORPTION or EMISSION), one list
-    per frequency, yielded in grid order.  Every observable projects from one
-    evaluation of one source, the mechanism module's ``_rates`` or closed-form
-    absorption, with its weight in ``_WEIGHTS``, looked up once per call.  The
-    source takes the whole grid and checks its regime guards at every
-    frequency before it computes a value; the weighing runs frequency by
-    frequency, so only the source is held for the whole grid."""
+def _terms(mechanism: Mechanism, regime: Regime, valleys: ValleySet, material: Material,
+           omegas: Sequence[float]) -> Terms:
+    """The source of every observable, per-valley columns over the grid: the
+    mechanism module's ``_rates`` or closed-form absorption, which checks its
+    regime guards at every frequency before it computes a value."""
     module = impurity if mechanism is Mechanism.IMPURITY else acoustic
     source = (module._rates if regime is Regime.GENERAL else module._classical_absorption
               if regime is Regime.CLASSICAL else module._quantum_absorption)
-    weights = [(o, _WEIGHTS.get((regime, o, mechanism)) or _WEIGHTS.get((regime, o)))
-               for o in observables]
-    for omega, terms in zip(omegas, source(valleys, material, omegas)):
-        yield [_weigh(terms, material, omega, o, weight) for o, weight in weights]
+    return source(valleys, material, omegas)
+
+
+def _weighings(mechanism: Mechanism, regime: Regime,
+               observables: Sequence[Observable]) -> list[Weighing]:
+    """Each observable with its ``_WEIGHTS`` entry (None for none), for the projection."""
+    return [(o, _WEIGHTS.get((regime, o, mechanism)) or _WEIGHTS.get((regime, o)))
+            for o in observables]
 
 
 def _value(
@@ -142,8 +124,10 @@ def _value(
     """One observable at one frequency: the body of the four public observables."""
     check_omega(omega)
     regime = parse(Regime, regime, "regime")
-    ((terms,),) = _terms(mechanism, regime, [observable], valleys, material, [omega])
-    return _observe(terms, pol, observable, omega)
+    terms = _terms(mechanism, regime, valleys, material, [omega])
+    ((value,),) = _observe(terms, material, [omega], pol,
+                           _weighings(mechanism, regime, [observable]))
+    return value
 
 
 def _emission(

@@ -8,19 +8,22 @@ pressure-redistributed populations are expressible per valley.
 
 All types are immutable after construction and all operations are pure.
 
-The observables are computed as per-valley terms and combined by one
-projection, :func:`_project`, which is where the polarization enters.
+Every observable is projected from per-valley terms, columns over a
+frequency grid, by one function, :func:`_project`: it applies the
+observable's weight and, for emission, Kirchhoff's factor, and is where the
+polarization enters.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .constants import (
     C_LIGHT,
     E_CHARGE,
+    HBAR,
     K_BOLTZMANN,
     mass_from_me,
     theta_from_ev,
@@ -308,44 +311,62 @@ def cos_phi(valley: Valley, pol: Polarization) -> float:
 # Per-valley terms.  Every observable is a common factor times a sum over
 # populated valleys of a weight w_i times a polarization-independent pair
 # (r_perp_i, r_par_i): the valley's values for polarization across and along
-# its axis.  Terms are (factor, [(valley, w_i, r_perp_i, r_par_i), ...]);
-# rates are terms of unit weight, before an observable's weight
-# (``emission._WEIGHTS``), a function of s_i = hbar*omega/theta_i.  The factor is applied once, after the sum, so
-# that tiny weights such as e^{-s_i} meet the large pairs while both are
-# still far from underflow.
-Terms = tuple[float, list[tuple]]
+# its axis.  A source gives them for a whole frequency grid as columns,
+# (factors, [(valley, ws, r_perps, r_pars), ...]), each list one entry per
+# frequency.  The factor is applied once, after the sum, so that tiny weights
+# such as e^{-s_i} meet the large pairs while both are still far from underflow.
+Terms = tuple[list[float], list[tuple[Valley, list[float], list[float], list[float]]]]
+# An observable and its weight, a function of s_i = hbar omega/theta_i, or None.
+Weighing = tuple[Observable, Callable[[float], float] | None]
 
 
 def _populated(valleys: ValleySet) -> list[Valley]:
     return [v for v in valleys if v.n > 0.0]
 
 
-def _project(terms: Terms, pol: Polarization) -> float:
-    """factor * sum_i w_i [(1 - c_i^2) r_perp_i + c_i^2 r_par_i] with
-    c_i = cos(phi_i): the value of an observable at polarization ``pol``,
-    exactly affine in each c_i^2."""
-    factor, per_valley = terms
-    total = 0.0
-    for valley, w, r_perp, r_par in per_valley:
-        c2 = cos_phi(valley, pol) ** 2
-        total += w * ((1.0 - c2) * r_perp + c2 * r_par)
-    return factor * total
+def _project(terms: Terms, material: Material, omegas: Sequence[float], pol: Polarization,
+             weighings: Sequence[Weighing]) -> list[tuple[float, ...]]:
+    """The values of the weighed observables at polarization ``pol``, one tuple
+    per frequency: factor * sum_i (w_i weight(s_i)) [(1 - c_i^2) r_perp_i +
+    c_i^2 r_par_i], summed in valley order and exactly affine in each
+    c_i^2 = cos^2(phi_i), which is computed once per valley and call.  For
+    emission (Kirchhoff's law) the factor is first multiplied by the flux of
+    one photon times the mode density, hbar omega^3 sqrt(eps0)/(8 pi^3 c^2)."""
+    factors, columns = terms
+    c2s = [cos_phi(valley, pol) ** 2 for valley, *_ in columns]
+    rows = []
+    for j, (omega, factor) in enumerate(zip(omegas, factors)):
+        row = []
+        for observable, weight in weighings:
+            total = 0.0
+            for (valley, ws, r_perps, r_pars), c2 in zip(columns, c2s):
+                w = ws[j] if weight is None else ws[j] * weight(HBAR * omega / valley.theta)
+                total += w * ((1.0 - c2) * r_perps[j] + c2 * r_pars[j])
+            scale = factor
+            if observable is Observable.EMISSION:
+                scale *= (HBAR * omega**3 * math.sqrt(material.eps0)
+                          / (8.0 * math.pi**3 * C_LIGHT**2))
+            row.append(scale * total)
+        rows.append(tuple(row))
+    return rows
 
 
 # The CSV column of each observable, which also names it in errors.
 _COLUMNS = {Observable.ABSORPTION: "K_per_cm", Observable.EMISSION: "dW_dOmega_cgs"}
 
 
-def _observe(terms: Terms, pol: Polarization, observable: Observable, omega: float) -> float:
-    """The projected value of ``observable``; FloatingPointError, naming its
-    column and omega, if it is not finite (inputs far outside the documented
-    domain can overflow)."""
-    value = _project(terms, pol)
-    if not math.isfinite(value):
-        raise FloatingPointError(
-            f"{_COLUMNS[observable]} is {value} at omega = {omega:.6e} rad/s"
-        )
-    return value
+def _observe(terms: Terms, material: Material, omegas: Sequence[float], pol: Polarization,
+             weighings: Sequence[Weighing]) -> list[tuple[float, ...]]:
+    """:func:`_project`, checked: FloatingPointError, naming the column and
+    omega of the first value in row order that is not finite (inputs far
+    outside the documented domain can overflow)."""
+    rows = _project(terms, material, omegas, pol, weighings)
+    for omega, row in zip(omegas, rows):
+        for (observable, _), value in zip(weighings, row):
+            if not math.isfinite(value):
+                raise FloatingPointError(
+                    f"{_COLUMNS[observable]} is {value} at omega = {omega:.6e} rad/s")
+    return rows
 
 
 def debye_radius(eps0: float, theta: float, n_total: float) -> float:

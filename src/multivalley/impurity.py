@@ -9,12 +9,11 @@ the Conwell-Weisskopf logarithm and the anisotropic relaxation tensor.
 
 Everything here is affine in cos^2(phi_i): the rate core :func:`_rates`
 computes each distinct temperature's transverse/longitudinal endpoint
-integrals once, over a whole frequency grid in batched quadrature passes,
-and returns per-valley (r_perp, r_par) pairs at each frequency, which the
-shared projection combines linearly, so polarization laws hold to machine
-precision rather than quadrature tolerance.  The batched integrand,
-``quadrature._endpoints``, lives with the numpy core: the closed forms here
-run without numpy.
+integrals once, over a whole frequency grid in batched quadrature passes
+(``quadrature._endpoints``, the numpy core; the closed forms run without
+numpy), and returns per-valley columns of (r_perp, r_par) pairs, which the
+one projection, ``geometry._project``, combines linearly, so polarization
+laws hold to machine precision rather than quadrature tolerance.
 Absorption, the absorbed power ``p_plus`` and (in ``emission``) spontaneous
 emission all project from the same rates.
 """
@@ -116,9 +115,9 @@ def _collision_scale(material: Material) -> float:
     )
 
 
-def _rates(valleys: ValleySet, material: Material, omegas: Sequence[float]) -> list[Terms]:
-    """General-regime rate core: at each omega, per populated valley,
-    (valley, 1, r_perp, r_par).
+def _rates(valleys: ValleySet, material: Material, omegas: Sequence[float]) -> Terms:
+    """General-regime rate core: per populated valley, weights of 1 and the
+    pair (r_perp, r_par) at every omega.
 
     The pair is the valley's absorption coefficient (cm^-1) before the
     stimulated-emission factor 1 - e^{-s}, for polarization across and along
@@ -130,21 +129,17 @@ def _rates(valleys: ValleySet, material: Material, omegas: Sequence[float]) -> l
     from . import quadrature  # at call time: the closed forms run without numpy
 
     populated = _populated(valleys)
-    endpoints = {
-        theta: quadrature._endpoints(material, theta, omegas).T.tolist()
-        for theta in dict.fromkeys(v.theta for v in populated)
-    }
+    endpoints = {theta: quadrature._endpoints(material, theta, omegas).tolist()
+                 for theta in dict.fromkeys(v.theta for v in populated)}
     coeff = _GENERAL_COEFF * _collision_scale(material)
     twice_ratio = 2.0 * (material.m_perp / material.m_par)
-    terms = []
-    for j, omega in enumerate(omegas):
-        rates = []
-        for v in populated:
-            i1, i2 = endpoints[v.theta][j]
-            scale = v.n / math.sqrt(v.theta)
-            rates.append((v, 1.0, scale * i1, scale * (twice_ratio * i2)))
-        terms.append((coeff / (HBAR * omega**3), rates))
-    return terms
+    columns = []
+    for v in populated:
+        i1s, i2s = endpoints[v.theta]
+        scale = v.n / math.sqrt(v.theta)
+        columns.append((v, [1.0] * len(omegas), [scale * i1 for i1 in i1s],
+                        [scale * (twice_ratio * i2) for i2 in i2s]))
+    return [coeff / (HBAR * omega**3) for omega in omegas], columns
 
 
 def p_plus(
@@ -158,8 +153,10 @@ def p_plus(
     rate before the stimulated-emission factor times the incident flux of a
     wave of amplitude A0."""
     check_omega(omega)
-    factor, rates = _rates(ValleySet((valley,)), material, [omega])[0]
-    return _project((factor * incident_flux(omega, A0, material.eps0), rates), pol)
+    (factor,), columns = _rates(ValleySet((valley,)), material, [omega])
+    terms = [factor * incident_flux(omega, A0, material.eps0)], columns
+    ((value,),) = _project(terms, material, [omega], pol, [(Observable.ABSORPTION, None)])
+    return value
 
 
 def check_classical_impurity(valleys: ValleySet, omegas: Sequence[float]) -> None:
@@ -183,28 +180,29 @@ def check_quantum_impurity(valleys: ValleySet, material: Material, omegas: Seque
 
 
 def _classical_absorption(valleys: ValleySet, material: Material,
-                          omegas: Sequence[float]) -> list[Terms]:
-    """Classical closed-form absorption terms, one per omega: (3 pi^{3/2}/2) e0^2 n_i /
+                          omegas: Sequence[float]) -> Terms:
+    """Classical closed-form absorption terms: (3 pi^{3/2}/2) e0^2 n_i /
     (sqrt(eps0) c omega^2) times (1/(m_perp tau_perp), 1/(m_par tau_par))."""
     check_classical_impurity(valleys, omegas)
     coeff = CLASSICAL_COEFF * E_CHARGE**2 / math.sqrt(material.eps0)
-    populated = _populated(valleys)
+    populated, count = _populated(valleys), len(omegas)
     taus = {t: relaxation_impurity(material, t) for t in dict.fromkeys(v.theta for v in populated)}
-    terms = [(v, v.n, 1.0 / (material.m_perp * taus[v.theta].tau_perp),
-              1.0 / (material.m_par * taus[v.theta].tau_par)) for v in populated]
-    return [(coeff / (C_LIGHT * omega**2), terms) for omega in omegas]
+    columns = [(v, [v.n] * count, [1.0 / (material.m_perp * taus[v.theta].tau_perp)] * count,
+                [1.0 / (material.m_par * taus[v.theta].tau_par)] * count) for v in populated]
+    return [coeff / (C_LIGHT * omega**2) for omega in omegas], columns
 
 
 def _quantum_absorption(valleys: ValleySet, material: Material,
-                        omegas: Sequence[float]) -> list[Terms]:
-    """Quantum closed-form absorption terms, one per omega: the unscreened shape function
+                        omegas: Sequence[float]) -> Terms:
+    """Quantum closed-form absorption terms: the unscreened shape function
     Psi(inf) times n_i / (hbar omega)^{3/2}, an omega^-3.5 law.  The (hbar omega)^{3/2} divides
     the weights, not the factor, whose omega^2 times it would overflow above ~3e99 rad/s."""
     check_quantum_impurity(valleys, material, omegas)
-    scale, psi = _QUANTUM_COEFF * _collision_scale(material), psi_infinity(material)
-    populated = _populated(valleys)
-    return [(scale / omega**2, [(v, v.n / (HBAR * omega) ** 1.5, *psi) for v in populated])
-            for omega in omegas]
+    scale, count = _QUANTUM_COEFF * _collision_scale(material), len(omegas)
+    psi_perp, psi_par = psi_infinity(material)
+    columns = [(v, [v.n / (HBAR * omega) ** 1.5 for omega in omegas], [psi_perp] * count,
+                [psi_par] * count) for v in _populated(valleys)]
+    return [scale / omega**2 for omega in omegas], columns
 
 
 def absorption_impurity(

@@ -1,13 +1,17 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import multivalley as mv
+from multivalley import geometry
 from multivalley.errors import ConfigError
 from multivalley.geometry import cos_phi, debye_radius, incident_flux
 
 K300 = mv.theta_from_kelvin(300.0)
+DOCS = Path(__file__).resolve().parent.parent / "docs"
 
 
 class TestPresets:
@@ -155,3 +159,31 @@ class TestIncidentFlux:
         assert incident_flux(1.0, 1.0, 1.0) == pytest.approx(
             1.3272093647190362e-12, rel=1e-14, abs=0  # 1/(8 pi c)
         )
+
+
+class TestProjection:
+    # every valley's cos^2 is computed once per polarization, and both
+    # observables share it: once per omega sweep, once per phi row
+    @pytest.fixture
+    def cos_phi_calls(self, monkeypatch):
+        calls = []
+        real = geometry.cos_phi
+        monkeypatch.setattr(geometry, "cos_phi",
+                            lambda valley, pol: calls.append(valley) or real(valley, pol))
+        return calls
+
+    @staticmethod
+    def run_both(name, **overrides):
+        doc = {**json.loads((DOCS / name).read_text()), "observable": "both", **overrides}
+        return mv.run_sweep(mv.parse_config(json.dumps(doc)))
+
+    def test_omega_sweep_once(self, cos_phi_calls):
+        sweep = {"kind": "omega", "min": 1e13, "max": 1e15, "points": 200, "scale": "log"}
+        result = self.run_both("config_ge4_spectrum.json", sweep=sweep)
+        assert len(result.rows) == 200
+        assert len(cos_phi_calls) == 4
+
+    def test_phi_sweep_once_per_row(self, cos_phi_calls):
+        result = self.run_both("config_si6_hot_polarization.json")
+        assert len(result.rows) == 37
+        assert len(cos_phi_calls) == 37 * 6

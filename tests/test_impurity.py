@@ -478,6 +478,12 @@ class TestBatchedEndpoints:
         assert all(math.isfinite(v) and v >= 0.0 for row in result.rows for v in row[2:4])
 
 
+def assert_grid_columns(terms, count):
+    factors, columns = terms
+    assert len(factors) == count
+    assert all(len(column) == count for _, *quantities in columns for column in quantities)
+
+
 class TestClosedFormsPerCall:
     # a closed form computes what does not depend on omega once per call: the
     # relaxation tensor once per distinct valley temperature, Psi(inf) once
@@ -498,10 +504,12 @@ class TestClosedFormsPerCall:
 
     def test_classical(self, ge_material, two_temperatures, counted):
         omegas = np.geomspace(1e10, 1e12, 50).tolist()
-        assert len(impurity._classical_absorption(two_temperatures, ge_material, omegas)) == 50
+        terms = impurity._classical_absorption(two_temperatures, ge_material, omegas)
+        assert_grid_columns(terms, 50)
         assert counted == ["relaxation_impurity"] * 2
 
     def test_quantum(self, ge_material, two_temperatures, counted):
         omegas = np.geomspace(1e15, 1e16, 50).tolist()
-        assert len(impurity._quantum_absorption(two_temperatures, ge_material, omegas)) == 50
+        terms = impurity._quantum_absorption(two_temperatures, ge_material, omegas)
+        assert_grid_columns(terms, 50)
         assert counted == ["shape_b1", "shape_b2"]

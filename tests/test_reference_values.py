@@ -10,8 +10,13 @@ unevenly populated Si6 valleys.  Every cell of every row is compared: value
 cells at rel=1e-12, abs=0, text cells exactly.  A refactor that claims the
 same numbers passes this test unchanged.
 
-To pin new values after a declared value change, run this file as a script;
-it rewrites the data file from the checkout it imports.
+To pin values, run this file as a script from the checkout it imports:
+
+    python tests/test_reference_values.py [CASE ...]
+
+It evaluates the named cases, or with no names every case that the data file
+lacks, and rewrites only those entries.  The other entries keep their bytes,
+and with nothing to do the file is not written.
 """
 
 import json
@@ -126,6 +131,13 @@ def test_sweep_matches_reference(reference, case):
 
 
 if __name__ == "__main__":
-    DATA.parent.mkdir(exist_ok=True)
-    DATA.write_text(json.dumps({case: evaluate(case) for case in sorted(CASES)}, indent=1) + "\n")
-    print(f"wrote {len(CASES)} sweeps to {DATA}")
+    unknown = sorted(set(sys.argv[1:]) - set(CASES))
+    if unknown:
+        sys.exit(f"unknown cases: {', '.join(unknown)}; known: {', '.join(sorted(CASES))}")
+    pinned = json.loads(DATA.read_text()) if DATA.exists() else {}
+    cases = sys.argv[1:] or [case for case in sorted(CASES) if case not in pinned]
+    pinned.update({case: evaluate(case) for case in cases})
+    if cases:
+        DATA.parent.mkdir(exist_ok=True)
+        DATA.write_text(json.dumps(dict(sorted(pinned.items())), indent=1) + "\n")
+    print(f"wrote {len(cases)} sweeps to {DATA}: {', '.join(cases) or 'none'}")
