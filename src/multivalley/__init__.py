@@ -6,16 +6,33 @@ a general quadrature form valid at any frequency, plus
 classical and quantum closed-form limits with explicit validity guards.
 Internal units are Gaussian CGS throughout.  The package exports what the
 README's Public API section lists; everything else stays in its module.
+The mechanism-side exports import their module on first use, so that a run
+loads only the mechanism it computes.
 """
 
-from .acoustic import absorption_acoustic
+import importlib
+
 from .config import RunConfig, SweepResult, SweepSpec, parse_config, run_sweep, write_csv
 from .constants import theta_from_ev, theta_from_kelvin
-from .emission import EmissionResult, emission_acoustic, emission_impurity
 from .errors import ConfigError, QuadratureError, RegimeError
 from .geometry import Material, Polarization, Valley, ValleySet, load_preset
-from .impurity import absorption_impurity
 from .modes import Mechanism, Observable, Regime
+
+_LAZY = {"absorption_impurity": "impurity", "absorption_acoustic": "acoustic",
+         "emission_impurity": "emission", "emission_acoustic": "emission",
+         "EmissionResult": "emission"}
+
+
+def __getattr__(name: str):
+    """A mechanism-side export, looked up in its module at every access."""
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})
+
 
 __version__ = "0.1.0"
 

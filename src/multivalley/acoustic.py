@@ -14,12 +14,12 @@ The kernel enters scaled, as e^a a^2 K2(a), which keeps each valley's
 absorption and emission in Kirchhoff balance and never underflows.  It is
 half the energy integral, a one-parameter integral that
 ``special.acoustic_kernel`` evaluates in Python floats, so that no regime of
-this mechanism imports numpy.
+this mechanism imports numpy; only the general regime imports ``special``.
 
 :func:`_rates` is the general-regime rate core: per valley, columns over the
 frequency grid of the absorption rate before stimulated emission across and
 along the valley axis.  Absorption weighs it with 1 - e^{-s_i}, and emission,
-by detailed balance, with e^{-s_i} (``emission._WEIGHTS``).
+by detailed balance, with e^{-s_i} (``geometry._WEIGHTS``).
 """
 
 from __future__ import annotations
@@ -28,9 +28,8 @@ import math
 from typing import Sequence
 
 from .constants import C_LIGHT, E_CHARGE, HBAR
-from .geometry import Material, Polarization, Terms, ValleySet, _populated
+from .geometry import Material, Polarization, Terms, ValleySet, _populated, _value
 from .modes import Mechanism, Observable, Regime, check_window
-from .special import acoustic_kernel
 
 __all__ = ["absorption_acoustic", "CLASSICAL_COEFF_ACOUSTIC"]
 
@@ -66,6 +65,8 @@ def _rates(valleys: ValleySet, material: Material, omegas: Sequence[float]) -> T
     times n_i theta_i e^{a_i} a_i^2 K2(a_i) times :func:`_tensor_pair`, the
     kernel evaluated over the grid once per distinct valley temperature.
     """
+    from .special import acoustic_kernel  # at call time: the closed forms need no special
+
     populated = _populated(valleys)
     pair_perp, pair_par = _tensor_pair(material)
     kernels = {theta: [acoustic_kernel(HBAR * omega / (2.0 * theta)) for omega in omegas]
@@ -94,7 +95,7 @@ def _quantum_absorption(valleys: ValleySet, material: Material,
     """Quantum closed-form source: the leading term of the large-argument
     kernel, (4 pi/3) e0^2/(sqrt(eps0) c omega^2) times n_i sqrt(s_i) times
     :func:`_tensor_pair`.  Absorption multiplies it by the next order,
-    1 + 3/s_i, and emission by e^{-s_i} (``emission._WEIGHTS``)."""
+    1 + 3/s_i, and emission by e^{-s_i} (``geometry._WEIGHTS``)."""
     check_quantum_acoustic(valleys, omegas)
     coeff, scale = _QUANTUM_COEFF * E_CHARGE**2, math.sqrt(material.eps0) * C_LIGHT
     (pair_perp, pair_par), count = _tensor_pair(material), len(omegas)
@@ -124,6 +125,4 @@ def absorption_acoustic(
     {weight} = (1 - cos^2 phi_i)/(m_perp tau_perp0) + cos^2 phi_i/(m_par tau_par0).
     omega outside [1e-50, 1e100] rad/s raises ConfigError (:func:`geometry.check_omega`).
     """
-    from .emission import _value  # at call time: emission imports this module
-
     return _value(Mechanism.ACOUSTIC, Observable.ABSORPTION, valleys, material, omega, pol, regime)

@@ -5,19 +5,17 @@ arguments, calls the library and maps its exceptions to exit codes; the
 checks and the floating-point policy are the library's, so the library and
 the CLI accept, refuse and compute the same.
 
-Exit codes: 0 success, 2 configuration error, 3 regime-validity error,
-4 numerical failure (quadrature or floating-point arithmetic).
+Exit codes: 0 success, 2 usage or configuration error, 3 regime-validity
+error, 4 numerical failure (quadrature or floating-point arithmetic).
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 from dataclasses import replace
 
 from .config import parse_config, run_sweep, write_csv
 from .errors import ConfigError, QuadratureError, RegimeError
-from .modes import Mechanism, Observable, Regime
 
 __all__ = ["main"]
 
@@ -26,52 +24,54 @@ EXIT_CONFIG = 2
 EXIT_REGIME = 3
 EXIT_NUMERIC = 4
 
-# The selector flags, each overriding the config key of its name.
-_SELECTORS = {
-    "observable": (Observable, "observable"),
-    "mechanism": (Mechanism, "scattering mechanism"),
-    "regime": (Regime, "frequency regime"),
-}
+USAGE = """\
+multivalley --config run.json --output spectrum.csv \\
+    [--observable absorption|emission|both] \\
+    [--mechanism impurity|acoustic] [--regime general|classical|quantum] \\
+    [--workers N]"""
+
+# Each flag but --config overrides the config key of its name; RunConfig
+# checks the selectors' values.
+_FLAGS = ("--config", "--output", "--observable", "--mechanism", "--regime", "--workers")
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="multivalley",
-        description=(
-            "Free-carrier absorption and hot-electron emission spectra for "
-            "multivalley semiconductors with anisotropic impurity or "
-            "acoustic scattering."
-        ),
-    )
-    parser.add_argument("--config", required=True, help="path to the JSON run config")
-    parser.add_argument("--output", help="CSV output path (overrides config)")
-    for key, (selector, what) in _SELECTORS.items():
-        parser.add_argument(
-            f"--{key}",
-            choices=[member.value for member in selector],
-            help=f"override the config {what}",
-        )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        help="accepted and validated (>= 1); no effect on values or output bytes",
-    )
-    return parser
+def _parse_args(argv: list[str]) -> dict:
+    """The flags of ``argv`` by name, each ``--flag value`` or ``--flag=value``
+    with the last of a repeat winning, and ``workers`` as an int >= 1.
+    ValueError for anything else."""
+    args, rest = {}, iter(argv)
+    for arg in rest:
+        flag, eq, value = arg.partition("=")
+        if flag not in _FLAGS:
+            raise ValueError(f"unrecognized argument {arg!r}")
+        value = value if eq else next(rest, "")
+        if not value or value.startswith("--"):
+            raise ValueError(f"{flag} expects a value")
+        args[flag[2:]] = value
+    if "config" not in args:
+        raise ValueError("--config is required")
+    if "workers" in args:
+        if not args["workers"].isdecimal() or int(args["workers"]) < 1:
+            raise ValueError(f"--workers must be an integer >= 1, got {args['workers']!r}")
+        args["workers"] = int(args["workers"])
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    if "-h" in argv or "--help" in argv:
+        print(f"usage: {USAGE}")
+        return EXIT_OK
     try:
-        with open(args.config, "rb") as handle:
+        args = _parse_args(argv)
+    except ValueError as exc:
+        print(f"usage error: {exc} (see multivalley --help)", file=sys.stderr)
+        return EXIT_CONFIG
+    try:
+        with open(args.pop("config"), "rb") as handle:
             config = parse_config(handle.read())
-        overrides = {key: getattr(args, key) for key in _SELECTORS if getattr(args, key)}
-        if args.workers is not None:
-            if args.workers < 1:
-                raise ConfigError(f"--workers must be >= 1, got {args.workers}")
-            overrides["workers"] = args.workers
-        config = replace(config, **overrides)
-
-        output = args.output or config.output
+        output = args.pop("output", None) or config.output
+        config = replace(config, **args)
         if not output:
             raise ConfigError("no output path: give --output or set 'output' in the config")
 

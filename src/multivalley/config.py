@@ -8,7 +8,7 @@ field paths; ``SweepSpec`` and ``RunConfig``, like ``Valley`` and
 ``Material``, check their own domain, so a hand-built or ``replace``d sweep
 or run is refused, or runs, as a parsed one would.
 
-An omega sweep evaluates its per-valley terms (``emission._terms``) once
+An omega sweep evaluates its per-valley terms (``geometry._terms``) once
 for the whole grid, a phi sweep once per row; the one projection,
 ``geometry._project``, weighs them for each requested observable.  Rows come
 in grid order, so identical configs produce byte-identical CSV files.  The
@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .constants import ERG_PER_EV, HBAR, theta_from_ev, theta_from_kelvin
-from .emission import _terms, _weighings
 from .errors import ConfigError
 from .geometry import (
     Material,
@@ -36,6 +35,8 @@ from .geometry import (
     _as_unit_tuple,
     _check_unit,
     _observe,
+    _terms,
+    _weighings,
     check_omega,
     load_preset,
 )

@@ -18,9 +18,9 @@ the same factor for both mechanisms.  With K_i = (1 - e^{-s_i}) r_i, e^{-s_i}
 r_i is K_i times the Bose factor 1/(e^{s_i} - 1).  So emission has no formula
 of its own: in every regime and for both mechanisms, the one projection
 (``geometry._project``) weighs the source of absorption with the entry of
-``_WEIGHTS`` and applies the factor above.  Quantum acoustic emission is
-Kirchhoff's image of the leading term n_i sqrt(s_i) of its absorption, which
-absorption multiplies by 1 + 3/s_i.
+``geometry._WEIGHTS`` and applies the factor above.  Quantum acoustic
+emission is Kirchhoff's image of the leading term n_i sqrt(s_i) of its
+absorption, which absorption multiplies by 1 + 3/s_i.
 
 Output convention: ``dW_dOmega`` is energy per unit time, per steradian, per
 unit angular-frequency interval, per unit volume (erg s^-1 sr^-1 cm^-3 per
@@ -33,11 +33,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
-from . import acoustic, impurity
 from .constants import C_LIGHT, HBAR
-from .geometry import Material, Polarization, Terms, ValleySet, Weighing, _observe, check_omega
+from .geometry import Material, Polarization, ValleySet, _value
 
 # Re-exported: perfbench/tracing.py looks p_plus up in this module.
 from .impurity import p_plus  # noqa: F401
@@ -79,55 +77,6 @@ def mode_density(omega: float, volume: float) -> float:
     if omega <= 0.0 or volume <= 0.0:
         raise ValueError("omega and volume must be positive")
     return volume * omega**2 / (2.0 * math.pi * C_LIGHT) ** 3
-
-
-# The weight of each valley's source term in an observable, a function of
-# s_i = hbar omega/theta_i.  The general source is the rate r_i before
-# stimulated emission: absorption weighs it with 1 - e^{-s_i}, emission with
-# e^{-s_i}.  A closed form's source is K_i, or for quantum acoustic absorption
-# its leading term; emission applies the asymptote of the Bose factor
-# 1/(e^{s_i} - 1): 1/s_i for s_i << 1, e^{-s_i} for s_i >> 1.  A key that
-# also names a mechanism holds for that mechanism alone: quantum acoustic
-# absorption multiplies its leading term by the next order of the kernel,
-# 1 + 3/s_i, which emission leaves out.
-_WEIGHTS = {
-    (Regime.GENERAL, Observable.ABSORPTION): lambda s: -math.expm1(-s),
-    (Regime.GENERAL, Observable.EMISSION): lambda s: math.exp(-s),
-    (Regime.CLASSICAL, Observable.EMISSION): lambda s: 1.0 / s,
-    (Regime.QUANTUM, Observable.EMISSION): lambda s: math.exp(-s),
-    (Regime.QUANTUM, Observable.ABSORPTION, Mechanism.ACOUSTIC): lambda s: 1.0 + 3.0 / s,
-}
-
-
-def _terms(mechanism: Mechanism, regime: Regime, valleys: ValleySet, material: Material,
-           omegas: Sequence[float]) -> Terms:
-    """The source of every observable, per-valley columns over the grid: the
-    mechanism module's ``_rates`` or closed-form absorption, which checks its
-    regime guards at every frequency before it computes a value."""
-    module = impurity if mechanism is Mechanism.IMPURITY else acoustic
-    source = (module._rates if regime is Regime.GENERAL else module._classical_absorption
-              if regime is Regime.CLASSICAL else module._quantum_absorption)
-    return source(valleys, material, omegas)
-
-
-def _weighings(mechanism: Mechanism, regime: Regime,
-               observables: Sequence[Observable]) -> list[Weighing]:
-    """Each observable with its ``_WEIGHTS`` entry (None for none), for the projection."""
-    return [(o, _WEIGHTS.get((regime, o, mechanism)) or _WEIGHTS.get((regime, o)))
-            for o in observables]
-
-
-def _value(
-    mechanism: Mechanism, observable: Observable, valleys: ValleySet, material: Material,
-    omega: float, pol: Polarization, regime: Regime | str,
-) -> float:
-    """One observable at one frequency: the body of the four public observables."""
-    check_omega(omega)
-    regime = parse(Regime, regime, "regime")
-    terms = _terms(mechanism, regime, valleys, material, [omega])
-    ((value,),) = _observe(terms, material, [omega], pol,
-                           _weighings(mechanism, regime, [observable]))
-    return value
 
 
 def _emission(

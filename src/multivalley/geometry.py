@@ -8,10 +8,10 @@ pressure-redistributed populations are expressible per valley.
 
 All types are immutable after construction and all operations are pure.
 
-Every observable is projected from per-valley terms, columns over a
-frequency grid, by one function, :func:`_project`: it applies the
-observable's weight and, for emission, Kirchhoff's factor, and is where the
-polarization enters.
+Every observable is projected from per-valley terms, columns over a frequency
+grid, by one function, :func:`_project`, which applies the observable's weight
+and, for emission, Kirchhoff's factor, and is where the polarization enters;
+:func:`_terms` computes the terms from the selected mechanism's module alone.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .constants import (
     theta_from_kelvin,
 )
 from .errors import ConfigError
-from .modes import Observable
+from .modes import Mechanism, Observable, Regime, parse
 
 __all__ = [
     "Material",
@@ -367,6 +367,57 @@ def _observe(terms: Terms, material: Material, omegas: Sequence[float], pol: Pol
                 raise FloatingPointError(
                     f"{_COLUMNS[observable]} is {value} at omega = {omega:.6e} rad/s")
     return rows
+
+
+# The weight of each valley's source term in an observable, a function of
+# s_i = hbar omega/theta_i.  The general source is the rate r_i before
+# stimulated emission: absorption weighs it with 1 - e^{-s_i}, emission with
+# e^{-s_i}.  A closed form's source is K_i, or for quantum acoustic absorption
+# its leading term; emission applies the asymptote of the Bose factor
+# 1/(e^{s_i} - 1): 1/s_i for s_i << 1, e^{-s_i} for s_i >> 1.  A key that
+# also names a mechanism holds for that mechanism alone: quantum acoustic
+# absorption multiplies its leading term by the next order of the kernel,
+# 1 + 3/s_i, which emission leaves out.
+_WEIGHTS = {
+    (Regime.GENERAL, Observable.ABSORPTION): lambda s: -math.expm1(-s),
+    (Regime.GENERAL, Observable.EMISSION): lambda s: math.exp(-s),
+    (Regime.CLASSICAL, Observable.EMISSION): lambda s: 1.0 / s,
+    (Regime.QUANTUM, Observable.EMISSION): lambda s: math.exp(-s),
+    (Regime.QUANTUM, Observable.ABSORPTION, Mechanism.ACOUSTIC): lambda s: 1.0 + 3.0 / s,
+}
+
+
+def _terms(mechanism: Mechanism, regime: Regime, valleys: ValleySet, material: Material,
+           omegas: Sequence[float]) -> Terms:
+    """The source of every observable, per-valley columns over the grid: the
+    mechanism module's ``_rates`` or closed-form absorption, which checks its
+    regime guards at every frequency before it computes a value.  Only the
+    selected mechanism's module is imported."""
+    if mechanism is Mechanism.IMPURITY:
+        from . import impurity as module
+    else:
+        from . import acoustic as module
+    source = (module._rates if regime is Regime.GENERAL else module._classical_absorption
+              if regime is Regime.CLASSICAL else module._quantum_absorption)
+    return source(valleys, material, omegas)
+
+
+def _weighings(mechanism: Mechanism, regime: Regime,
+               observables: Sequence[Observable]) -> list[Weighing]:
+    """Each observable with its ``_WEIGHTS`` entry (None for none), for the projection."""
+    return [(o, _WEIGHTS.get((regime, o, mechanism)) or _WEIGHTS.get((regime, o)))
+            for o in observables]
+
+
+def _value(mechanism: Mechanism, observable: Observable, valleys: ValleySet, material: Material,
+           omega: float, pol: Polarization, regime: Regime | str) -> float:
+    """One observable at one frequency: the body of the four public observables."""
+    check_omega(omega)
+    regime = parse(Regime, regime, "regime")
+    terms = _terms(mechanism, regime, valleys, material, [omega])
+    ((value,),) = _observe(terms, material, [omega], pol,
+                           _weighings(mechanism, regime, [observable]))
+    return value
 
 
 def debye_radius(eps0: float, theta: float, n_total: float) -> float:

@@ -34,6 +34,7 @@ from .geometry import (
     Terms,
     _populated,
     _project,
+    _value,
     check_omega,
     incident_flux,
 )
@@ -220,8 +221,6 @@ def absorption_impurity(
     extrapolate silently.
     omega outside [1e-50, 1e100] rad/s raises ConfigError (:func:`geometry.check_omega`).
     """
-    from .emission import _value  # at call time: emission imports this module
-
     return _value(Mechanism.IMPURITY, Observable.ABSORPTION, valleys, material, omega, pol, regime)
 
 

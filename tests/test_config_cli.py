@@ -505,6 +505,97 @@ class TestCli:
         assert all(math.isfinite(k) and k > 0.0 for k in values)
 
 
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_usage() -> str:
+    """The command block of the README's CLI section."""
+    section = README.read_text().split("\n## CLI\n", 1)[1]
+    return section.split("```sh\n", 1)[1].split("\n```", 1)[0]
+
+
+class TestCliArgv:
+    @pytest.fixture
+    def cfg(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(base_config()))
+        return str(path)
+
+    @staticmethod
+    def header(path) -> list[str]:
+        return path.read_text().split("\n", 1)[0].split(",")
+
+    def test_flag_value_and_flag_equals_value(self, tmp_path, cfg):
+        spaced, joined = tmp_path / "spaced.csv", tmp_path / "joined.csv"
+        assert cli.main(["--config", cfg, "--output", str(spaced), "--observable", "both"]) == 0
+        assert cli.main([f"--config={cfg}", f"--output={joined}", "--observable=both"]) == 0
+        assert spaced.read_bytes() == joined.read_bytes()
+        assert self.header(joined)[2:4] == ["K_per_cm", "dW_dOmega_cgs"]
+
+    def test_last_repeat_wins(self, tmp_path, cfg):
+        first, last = tmp_path / "first.csv", tmp_path / "last.csv"
+        assert cli.main(["--config", cfg, "--observable", "both", "--output", str(first),
+                         "--observable=emission", f"--output={last}", "--workers", "0",
+                         "--workers", "2"]) == 0
+        assert not first.exists()
+        assert self.header(last)[2] == "dW_dOmega_cgs" and "K_per_cm" not in self.header(last)
+
+    def test_reads_sys_argv(self, tmp_path, cfg, monkeypatch):
+        out = tmp_path / "argv.csv"
+        monkeypatch.setattr(sys, "argv", ["multivalley", "--config", cfg, "--output", str(out)])
+        assert cli.main() == 0 and out.exists()
+
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    def test_help_prints_readme_usage(self, capsys, flag):
+        assert cli.main(["--config", "nope.json", flag]) == 0
+        captured = capsys.readouterr()
+        assert readme_usage() in captured.out and captured.err == ""
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["--bogus", "1"], id="unknown-flag"),
+        pytest.param(["--out", "{out}"], id="flag-prefix"),
+        pytest.param(["stray"], id="positional"),
+        pytest.param(["--output"], id="no-value-at-end"),
+        pytest.param(["--output", "--observable", "both"], id="flag-as-value"),
+        pytest.param(["--regime="], id="empty-value"),
+        pytest.param(["--regime", "general", "--output=--regime"], id="flag-as-joined-value"),
+        pytest.param(["--workers", "two"], id="non-integer-workers"),
+        pytest.param(["--workers=1.5"], id="fractional-workers"),
+        pytest.param(["--workers", "-1"], id="negative-workers"),
+    ])
+    def test_usage_error_exit_two(self, tmp_path, cfg, capsys, argv):
+        out = tmp_path / "x.csv"
+        argv = ["--config", cfg, "--output", str(out)] + [a.format(out=out) for a in argv]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and len(err.splitlines()) == 1
+        assert "Traceback" not in err and not out.exists()
+
+    @pytest.mark.parametrize("argv,key", [(["--mechanism", "phonon"], "mechanism"),
+                                          (["--observable=all"], "observable")])
+    def test_selector_outside_choices_exit_two(self, tmp_path, cfg, capsys, argv, key):
+        # the RunConfig checks the selectors, flag or config key alike
+        out = tmp_path / "x.csv"
+        assert cli.main(["--config", cfg, "--output", str(out), *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {key}: expected ")
+        assert len(err.splitlines()) == 1 and not out.exists()
+
+    def test_missing_config_flag_exit_two(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert cli.main(["--output", str(out)]) == 2
+        assert capsys.readouterr().err == "usage error: --config is required (see multivalley --help)\n"
+        assert not out.exists()
+
+    def test_usage_error_in_a_process(self, tmp_path, checkout_env, cfg):
+        proc = subprocess.run([sys.executable, "-m", "multivalley.cli", "--config", cfg, "--bogus"],
+                              env=checkout_env, cwd=tmp_path, capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("usage error: ") and "Traceback" not in proc.stderr
+        assert len(proc.stderr.splitlines()) == 1
+
+
 DOCS = Path(__file__).resolve().parent.parent / "docs"
 
 

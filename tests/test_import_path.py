@@ -1,7 +1,8 @@
 """numpy is confined to the general impurity regime's spectral core:
 importing the package, parsing a config, the CLI's start-up, every
 closed-form sweep and the acoustic mechanism in every regime run in an
-interpreter where ``import numpy`` fails.  Needs numpy and pytest only.
+interpreter where ``import numpy`` fails.  A CLI run imports only the
+mechanism module it computes, and no argparse.  Needs numpy and pytest only.
 """
 
 import json
@@ -127,3 +128,61 @@ def test_general_acoustic_observables_without_numpy(checkout_env, ge_material, s
     )
     expected = [repr(absorption_acoustic(*args)), repr(emission_acoustic(*args).dW_dOmega)]
     assert run_child(code, checkout_env).split() == expected
+
+
+# What a run may import, by the short name of each watched module.
+WATCHED = ("impurity", "acoustic", "emission", "special", "quadrature", "numpy", "argparse")
+# Each kind of CLI run, as overrides of the docs config, with its exit code and
+# the watched modules it loads: a closed form of one mechanism loads no module
+# of the other, nor emission; an acoustic closed form needs no special; a run
+# refused outside its window (exit 3) loads what its closed form loads.
+RUN_LOADS = {
+    "acoustic-classical": (dict(mechanism="acoustic", regime="classical",
+                                sweep=WINDOWS["classical"]), 0, {"acoustic"}),
+    "acoustic-quantum": (dict(mechanism="acoustic", regime="quantum",
+                              sweep=WINDOWS["quantum"]), 0, {"acoustic"}),
+    "acoustic-out-of-window": (dict(mechanism="acoustic", regime="classical",
+                                    sweep=WINDOWS["quantum"]), 3, {"acoustic"}),
+    "impurity-classical": (dict(regime="classical", sweep=WINDOWS["classical"]), 0,
+                           {"impurity", "special"}),
+    "impurity-quantum": (dict(regime="quantum", sweep=WINDOWS["quantum"]), 0,
+                         {"impurity", "special"}),
+    "impurity-out-of-window": (dict(regime="quantum", sweep=WINDOWS["classical"]), 3,
+                               {"impurity", "special"}),
+    "acoustic-general-docs-Si6": (dict(doc="config_si6_hot_polarization.json"), 0,
+                                  {"acoustic", "special"}),
+    "impurity-general-docs-Ge4": ({}, 0, {"impurity", "special", "quadrature", "numpy"}),
+}
+
+
+def watched_loaded() -> str:
+    """Child code that prints the watched modules in ``sys.modules``."""
+    return (f"print(*[m for m in {WATCHED!r}\n"
+            "         if m in sys.modules or 'multivalley.' + m in sys.modules])\n")
+
+
+@pytest.mark.parametrize("overrides,code,loads", RUN_LOADS.values(), ids=RUN_LOADS.keys())
+def test_cli_run_loads_only_its_mechanism(checkout_env, tmp_path, overrides, code, loads):
+    overrides = dict(overrides)
+    doc = doc_from(overrides.pop("doc", "config_ge4_spectrum.json"), **overrides)
+    config, output = tmp_path / "config.json", tmp_path / "child.csv"
+    config.write_text(json.dumps(doc))
+    child = (
+        "import sys\n"
+        "from multivalley.cli import main\n"
+        f"print(main(['--config', {str(config)!r}, '--output', {str(output)!r}]))\n"
+        + watched_loaded()
+    )
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
+                          env=checkout_env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    *_, exit_line, loaded_line = proc.stdout.splitlines()
+    assert exit_line == str(code)
+    assert set(loaded_line.split()) == loads
+
+
+def test_parse_config_loads_no_mechanism(checkout_env):
+    text = (DOCS / "config_ge4_spectrum.json").read_text()
+    code = ("import sys\nimport multivalley\n"
+            f"multivalley.parse_config({text!r})\n" + watched_loaded())
+    assert run_child(code, checkout_env) == ""

@@ -6,6 +6,8 @@ import importlib
 import importlib.util
 import inspect
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -53,6 +55,30 @@ def test_all_matches_readme_public_api():
     assert mv.__all__ == documented
     for name in documented:
         assert getattr(mv, name) is not None
+
+
+@pytest.mark.parametrize("name", mv.__all__)
+def test_export_is_its_defining_modules_object(name):
+    # the mechanism-side exports load on first use, each the object its module holds
+    value = getattr(mv, name)
+    assert value is getattr(importlib.import_module(value.__module__), name)
+
+
+def test_fresh_package_lists_exports_and_imports_nothing_for_dropped_names(checkout_env):
+    # before any mechanism module loads, dir() lists all 24 exports; the lazy
+    # lookup knows only those, so a dropped name raises AttributeError and
+    # imports nothing
+    code = (
+        "import sys\nimport multivalley as mv\nbefore = set(sys.modules)\n"
+        "assert set(mv.__all__) <= set(dir(mv)) and len(mv.__all__) == 24\n"
+        f"for name in {[n for _, n in DROPPED_PAIRS]!r}:\n"
+        "    assert not hasattr(mv, name), name\n"
+        "print(sorted(set(sys.modules) - before))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=checkout_env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 @pytest.mark.parametrize("module,name", DROPPED_PAIRS)
