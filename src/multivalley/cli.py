@@ -11,13 +11,14 @@ error, 4 numerical failure (quadrature or floating-point arithmetic).
 
 from __future__ import annotations
 
+import gc
 import sys
 from dataclasses import replace
 
 from .config import parse_config, run_sweep, write_csv
 from .errors import ConfigError, QuadratureError, RegimeError
 
-__all__ = ["main"]
+__all__ = ["main", "entry"]
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -97,5 +98,12 @@ def main(argv: list[str] | None = None) -> int:
     return EXIT_OK
 
 
+def entry() -> None:
+    """The process entry of ``multivalley`` and ``python -m multivalley.cli``."""
+    code = main()
+    gc.freeze()  # the process ends here: skip the exit-time collections over what it holds
+    sys.exit(code)
+
+
 if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    entry()

@@ -36,9 +36,6 @@ from dataclasses import dataclass
 
 from .constants import C_LIGHT, HBAR
 from .geometry import Material, Polarization, ValleySet, _value
-
-# Re-exported: perfbench/tracing.py looks p_plus up in this module.
-from .impurity import p_plus  # noqa: F401
 from .modes import Mechanism, Observable, Regime, parse
 
 __all__ = [
@@ -48,6 +45,16 @@ __all__ = [
     "emission_impurity",
     "emission_acoustic",
 ]
+
+
+def __getattr__(name: str):
+    """``p_plus`` (perfbench/tracing.py looks it up here), from ``impurity`` at
+    every access, so that importing this module loads neither it nor ``special``."""
+    if name != "p_plus":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .impurity import p_plus
+    return p_plus
+
 
 @dataclass(frozen=True)
 class EmissionResult:

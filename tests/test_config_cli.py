@@ -1,6 +1,8 @@
+import ast
 import contextlib
 import copy
 import csv
+import gc
 import io
 import json
 import math
@@ -633,6 +635,64 @@ def test_cli_runs_without_scipy(tmp_path, checkout_env, name):
     expected = tmp_path / "in_process.csv"
     write_csv(run_sweep(parse_config((DOCS / name).read_text())), str(expected))
     assert out.read_bytes() == expected.read_bytes()
+
+
+# -- the process entry ---------------------------------------------------------
+
+# A config of each exit path of main: a run, a config error and a regime error.
+EXIT_DOCS = {
+    0: base_config(),
+    2: {**base_config(), "material": {**base_config()["material"], "m_par": 0.001}},
+    3: base_config(sweep={"kind": "omega", "min": 1.0e15, "max": 2.0e15, "points": 2,
+                          "scale": "log"}),
+}
+
+
+@pytest.mark.parametrize("code", EXIT_DOCS)
+def test_main_in_process_leaves_the_gc_unfrozen(tmp_path, capsys, code):
+    # tests, tools/bytecheck.py and the traced benchmark run call main in
+    # process; a freeze there would pin their memory for good
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(EXIT_DOCS[code]))
+    before = gc.get_freeze_count()
+    assert cli.main(["--config", str(cfg), "--output", str(tmp_path / "x.csv")]) == code
+    assert gc.get_freeze_count() == before
+
+
+@pytest.mark.parametrize("doc,code", [
+    pytest.param(None, 0, id="docs-ge4"),
+    pytest.param(EXIT_DOCS[3], 3, id="out-of-window"),
+])
+def test_main_block_freezes_the_gc_before_exit(tmp_path, checkout_env, doc, code):
+    # an atexit hook runs after sys.exit, when the process entry has frozen the GC
+    cfg = DOCS / "config_ge4_spectrum.json"
+    if doc is not None:
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(doc))
+    argv = ["multivalley", "--config", str(cfg), "--output", str(tmp_path / "run.csv")]
+    child = (
+        "import atexit, gc, runpy, sys\n"
+        "atexit.register(lambda: print(gc.get_freeze_count() > 0))\n"
+        f"sys.argv = {argv!r}\n"
+        "runpy.run_module('multivalley.cli', run_name='__main__')\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", child], env=checkout_env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == code, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "True"
+    assert (tmp_path / "run.csv").exists() == (code == 0)
+
+
+def test_console_script_is_the_main_block_entry():
+    # read as text: tomllib is not in the standard library before Python 3.11
+    text = (DOCS.parent / "pyproject.toml").read_text()
+    (target,) = re.findall(r'^multivalley = "multivalley\.cli:(\w+)"$', text, re.M)
+    module = ast.parse(Path(cli.__file__).read_text())
+    (block,) = [node for node in module.body
+                if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"]
+    called = [node.func.id for node in ast.walk(block)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)]
+    assert called == [target] and callable(getattr(cli, target))
 
 
 # -- CLI exit-code fuzz --------------------------------------------------------

@@ -186,3 +186,13 @@ def test_parse_config_loads_no_mechanism(checkout_env):
     code = ("import sys\nimport multivalley\n"
             f"multivalley.parse_config({text!r})\n" + watched_loaded())
     assert run_child(code, checkout_env) == ""
+
+
+def test_emission_exports_load_no_impurity(checkout_env):
+    # emission re-exports impurity's p_plus only on access
+    code = ("import sys\nimport multivalley\n"
+            "multivalley.EmissionResult, multivalley.emission_acoustic\n" + watched_loaded())
+    assert run_child(code, checkout_env) == "emission"
+    from multivalley import emission, impurity
+
+    assert emission.p_plus is impurity.p_plus

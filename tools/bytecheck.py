@@ -7,6 +7,9 @@ The corpus is 297 runs of ``multivalley.cli.main``: every op of rounds 0-2
 of seeds 1-3 of the three benchmark workloads (``perfbench/workloads.py``'s
 ``generate``, read from the working tree), plus the 18 combinations of
 ``--mechanism``, ``--regime`` and ``--observable`` on each docs config.
+The 9 ops of cli-closed-form round 0, seed 1 (both docs configs among them)
+run once more, each as its own ``python -m multivalley.cli`` process, so that
+a change to the process entry around ``main`` shows too.
 A library section adds 306 calls that no CLI run makes, compared by
 ``repr`` (or by the exception they raise): the four public observables
 (``dW_dOmega`` of the emissions) for both mechanisms in the three regimes,
@@ -14,8 +17,9 @@ and ``impurity.p_plus`` for every valley, on the docs Ge4 and Si6 valleys, at
 three frequencies inside each regime's window and three polarizations.
 REV is ``git archive``d into a temporary directory, and the working tree's
 files (tracked and untracked, not ignored) are copied into another.  Each
-tree runs the whole corpus in one child process that imports ``multivalley``
-from the tree's ``src``.
+tree runs the in-process corpus in one child process that imports
+``multivalley`` from the tree's ``src``, and the process runs with the tree's
+``src`` as PYTHONPATH.
 
 The script prints every CSV cell, exit code, stdout and stderr line and
 library value that differs, then a summary, and exits 1 if anything differs,
@@ -50,6 +54,8 @@ SELECTORS = [
 WINDOWS = {"general": (1e11, 1e13, 1e15), "classical": (1e10, 1e11, 1e12),
            "quantum": (2e15, 5e15, 2e16)}
 POLARIZATIONS = ((0.0, 0.0, 1.0), (1.0, 0.0, 0.0), (1.0, 2.0, 3.0))
+# The runs also made as processes: the run ids that start with this.
+PROCESS_RUNS = "cli-closed-form/s1/r00-"
 OBSERVABLES = ("absorption_impurity", "absorption_acoustic", "emission_impurity",
                "emission_acoustic")
 
@@ -155,7 +161,8 @@ def library(configs: Path) -> list[tuple]:
     return calls
 
 
-def run_tree(tree: Path, runs_path: Path, calls_path: Path) -> dict:
+def run_tree(tree: Path, runs_path: Path, calls_path: Path,
+             processes: list[tuple[str, list[str]]]) -> dict:
     out = tree / "bytecheck-out"
     out.mkdir()
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
@@ -164,7 +171,17 @@ def run_tree(tree: Path, runs_path: Path, calls_path: Path) -> dict:
     proc = subprocess.run(argv, env=env, capture_output=True, text=True)
     if proc.returncode != 0:
         sys.exit(f"the corpus did not run in {tree.name}:\n{proc.stderr}")
-    return json.loads((out / "results.json").read_text())
+    results = json.loads((out / "results.json").read_text())
+    env["PYTHONPATH"] = str(tree / "src")
+    for run_id, argv in processes:
+        csv = out / (run_id.replace("/", "_") + ".csv")
+        proc = subprocess.run([sys.executable, "-m", "multivalley.cli", *argv,
+                               "--output", csv.name],
+                              env=env, cwd=out, capture_output=True, text=True, timeout=120)
+        results["cli"][run_id] = {"exit": proc.returncode, "stdout": proc.stdout,
+                                  "stderr": proc.stderr,
+                                  "csv": csv.read_text() if csv.exists() else None}
+    return results
 
 
 def compare_lines(run_id: str, what: str, old: str, new: str) -> int:
@@ -220,13 +237,16 @@ def main(argv: list[str]) -> int:
         copy_worktree(repo, new_tree)
         configs.mkdir()
         runs = corpus(new_tree, configs)
+        processes = [(f"process/{run_id}", argv) for run_id, argv in runs
+                     if run_id.startswith(PROCESS_RUNS)]
         runs_path, calls_path = tmp / "runs.json", tmp / "calls.json"
         runs_path.write_text(json.dumps(runs))
         calls_path.write_text(json.dumps(library(configs)))
-        old = run_tree(old_tree, runs_path, calls_path)
-        new = run_tree(new_tree, runs_path, calls_path)
+        old = run_tree(old_tree, runs_path, calls_path, processes)
+        new = run_tree(new_tree, runs_path, calls_path, processes)
 
     cells, exits, lines, csvs = Counter(), 0, 0, 0
+    runs += processes
     for run_id, _argv in runs:
         a, b = old["cli"][run_id], new["cli"][run_id]
         if a["exit"] != b["exit"]:
@@ -243,7 +263,8 @@ def main(argv: list[str]) -> int:
             values += 1
     codes = Counter(str(new["cli"][run_id]["exit"]) for run_id, _ in runs)
     raised = sum(value.startswith("raised ") for value in new["library"].values())
-    print(f"{len(runs)} runs, {label} -> working tree; exit codes of the working tree: "
+    print(f"{len(runs)} runs ({len(processes)} of them as processes), {label} -> working tree; "
+          "exit codes of the working tree: "
           + ", ".join(f"{n} exit {code}" for code, n in sorted(codes.items())))
     print(f"{len(new['library'])} library calls; {raised} raised in the working tree")
     print(f"differing: {exits} exit codes, {lines} stdout/stderr lines, {csvs} CSV cells or shapes"
