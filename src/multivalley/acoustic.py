@@ -28,7 +28,7 @@ import math
 from typing import Sequence
 
 from .constants import C_LIGHT, E_CHARGE, HBAR
-from .geometry import Material, Polarization, Terms, ValleySet, _populated, _value
+from .geometry import Material, Polarization, Terms, Valley, ValleySet, _value
 from .modes import Mechanism, Observable, Regime, check_window
 
 __all__ = ["absorption_acoustic", "CLASSICAL_COEFF_ACOUSTIC"]
@@ -50,57 +50,55 @@ def _tensor_pair(material: Material) -> tuple[float, float]:
     )
 
 
-def check_classical_acoustic(valleys: ValleySet, omegas: Sequence[float]) -> None:
+def check_classical_acoustic(valleys: Sequence[Valley], omegas: Sequence[float]) -> None:
     check_window(valleys, omegas, Regime.CLASSICAL, "acoustic")
 
 
-def check_quantum_acoustic(valleys: ValleySet, omegas: Sequence[float]) -> None:
+def check_quantum_acoustic(valleys: Sequence[Valley], omegas: Sequence[float]) -> None:
     check_window(valleys, omegas, Regime.QUANTUM, "acoustic")
 
 
-def _rates(valleys: ValleySet, material: Material, omegas: Sequence[float]) -> Terms:
-    """General-regime rate core: per populated valley, weights of 1 and the
-    pair (r_perp, r_par) at every omega: the absorption coefficient before the
-    factor 1 - e^{-2 a_i}, (16 sqrt(pi)/3 sqrt(eps0)) (e0^2/c hbar omega^3)
-    times n_i theta_i e^{a_i} a_i^2 K2(a_i) times :func:`_tensor_pair`, the
-    kernel evaluated over the grid once per distinct valley temperature.
+def _rates(valleys: Sequence[Valley], material: Material, omegas: Sequence[float]) -> Terms:
+    """General-regime rate core: per valley (populated: ``geometry._terms``), weights
+    of 1 and the pair (r_perp, r_par) at every omega: the absorption coefficient before
+    the factor 1 - e^{-2 a_i}, (16 sqrt(pi)/3 sqrt(eps0)) (e0^2/c hbar omega^3) times
+    n_i theta_i e^{a_i} a_i^2 K2(a_i) times :func:`_tensor_pair`, the kernel evaluated
+    over the grid once per distinct valley temperature.
     """
     from .special import acoustic_kernel  # at call time: the closed forms need no special
 
-    populated = _populated(valleys)
     pair_perp, pair_par = _tensor_pair(material)
     kernels = {theta: [acoustic_kernel(HBAR * omega / (2.0 * theta)) for omega in omegas]
-               for theta in dict.fromkeys(v.theta for v in populated)}
+               for theta in dict.fromkeys(v.theta for v in valleys)}
     columns = [(v, [1.0] * len(omegas), [v.n * v.theta * k * pair_perp for k in kernels[v.theta]],
-                [v.n * v.theta * k * pair_par for k in kernels[v.theta]]) for v in populated]
+                [v.n * v.theta * k * pair_par for k in kernels[v.theta]]) for v in valleys]
     root_eps0 = math.sqrt(material.eps0)
     return [_GENERAL_COEFF * E_CHARGE**2 / (root_eps0 * C_LIGHT * HBAR * omega**3)
             for omega in omegas], columns
 
 
-def _classical_absorption(valleys: ValleySet, material: Material,
+def _classical_absorption(valleys: Sequence[Valley], material: Material,
                           omegas: Sequence[float]) -> Terms:
-    """Classical closed-form terms: (32 sqrt(pi)/3) e0^2/(sqrt(eps0) c omega^2)
-    times n_i times :func:`_tensor_pair`."""
+    """Classical closed-form terms of the valleys (populated: ``geometry._terms``):
+    (32 sqrt(pi)/3) e0^2/(sqrt(eps0) c omega^2) times n_i times :func:`_tensor_pair`."""
     check_classical_acoustic(valleys, omegas)
     coeff, scale = CLASSICAL_COEFF_ACOUSTIC * E_CHARGE**2, math.sqrt(material.eps0) * C_LIGHT
     (pair_perp, pair_par), count = _tensor_pair(material), len(omegas)
-    columns = [(v, [v.n] * count, [pair_perp] * count, [pair_par] * count)
-               for v in _populated(valleys)]
+    columns = [(v, [v.n] * count, [pair_perp] * count, [pair_par] * count) for v in valleys]
     return [coeff / (scale * omega**2) for omega in omegas], columns
 
 
-def _quantum_absorption(valleys: ValleySet, material: Material,
+def _quantum_absorption(valleys: Sequence[Valley], material: Material,
                         omegas: Sequence[float]) -> Terms:
-    """Quantum closed-form source: the leading term of the large-argument
-    kernel, (4 pi/3) e0^2/(sqrt(eps0) c omega^2) times n_i sqrt(s_i) times
-    :func:`_tensor_pair`.  Absorption multiplies it by the next order,
-    1 + 3/s_i, and emission by e^{-s_i} (``geometry._WEIGHTS``)."""
+    """Quantum closed-form source of the valleys (populated: ``geometry._terms``):
+    the leading term of the large-argument kernel, (4 pi/3) e0^2/(sqrt(eps0) c omega^2)
+    times n_i sqrt(s_i) times :func:`_tensor_pair`.  Absorption multiplies it by the
+    next order, 1 + 3/s_i, and emission by e^{-s_i} (``geometry._WEIGHTS``)."""
     check_quantum_acoustic(valleys, omegas)
     coeff, scale = _QUANTUM_COEFF * E_CHARGE**2, math.sqrt(material.eps0) * C_LIGHT
     (pair_perp, pair_par), count = _tensor_pair(material), len(omegas)
     columns = [(v, [v.n * math.sqrt(HBAR * omega / v.theta) for omega in omegas],
-                [pair_perp] * count, [pair_par] * count) for v in _populated(valleys)]
+                [pair_perp] * count, [pair_par] * count) for v in valleys]
     return [coeff / (scale * omega**2) for omega in omegas], columns
 
 

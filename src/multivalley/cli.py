@@ -5,13 +5,14 @@ arguments, calls the library and maps its exceptions to exit codes; the
 checks and the floating-point policy are the library's, so the library and
 the CLI accept, refuse and compute the same.
 
-Exit codes: 0 success, 2 usage or configuration error, 3 regime-validity
-error, 4 numerical failure (quadrature or floating-point arithmetic).
+Exit codes: 0 success (nothing printed), 1 stdout closed early, 2 usage or configuration
+error, 3 regime-validity error, 4 numerical failure (quadrature or floating-point arithmetic).
 """
 
 from __future__ import annotations
 
 import gc
+import os
 import sys
 from dataclasses import replace
 
@@ -21,6 +22,7 @@ from .errors import ConfigError, QuadratureError, RegimeError
 __all__ = ["main", "entry"]
 
 EXIT_OK = 0
+EXIT_PIPE = 1
 EXIT_CONFIG = 2
 EXIT_REGIME = 3
 EXIT_NUMERIC = 4
@@ -76,8 +78,7 @@ def main(argv: list[str] | None = None) -> int:
         if not output:
             raise ConfigError("no output path: give --output or set 'output' in the config")
 
-        result = run_sweep(config)
-        write_csv(result, output)
+        write_csv(run_sweep(config), output)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -93,14 +94,17 @@ def main(argv: list[str] | None = None) -> int:
     except ArithmeticError as exc:
         print(f"numerical error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-
-    print(f"wrote {len(result.rows)} rows to {output}")
     return EXIT_OK
 
 
 def entry() -> None:
     """The process entry of ``multivalley`` and ``python -m multivalley.cli``."""
-    code = main()
+    try:
+        code = main()
+        sys.stdout.flush()  # only --help writes to stdout
+    except BrokenPipeError:  # stdout closed early: the SIGPIPE note of Python's signal docs
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # no error at exit
+        code = EXIT_PIPE
     gc.freeze()  # the process ends here: skip the exit-time collections over what it holds
     sys.exit(code)
 

@@ -165,9 +165,10 @@ def _number(value, path: str) -> float:
 
 
 def _vector(value, path: str) -> tuple[float, float, float]:
+    """A non-zero 3-vector of numbers, scaled to unit length; each refusal names ``path``."""
     if not isinstance(value, list) or len(value) != 3:
         raise ConfigError(f"{path}: expected a 3-vector")
-    return tuple(_number(v, f"{path}[{i}]") for i, v in enumerate(value))
+    return _as_unit_tuple([_number(v, f"{path}[{i}]") for i, v in enumerate(value)], path)
 
 
 def _numbers(value, path: str, count: int | None = None) -> list[float]:
@@ -229,7 +230,8 @@ def _parse_valleys(doc) -> ValleySet:
         preset = _require(doc, "preset", path)
         if not isinstance(preset, str):
             raise ConfigError(f"{path}.preset: expected a preset name, got {preset!r}")
-        axes = [v.axis for v in load_preset(preset)]
+        with _located(f"{path}.preset"):
+            axes = [v.axis for v in load_preset(preset)]
         return ValleySet(tuple(_valleys(doc, path, axes, lists=True)))
     if isinstance(doc, list):
         if not doc:
@@ -240,7 +242,7 @@ def _parse_valleys(doc) -> ValleySet:
             if not isinstance(entry, dict):
                 raise ConfigError(f"{vpath}: expected an object")
             axis = _vector(_require(entry, "axis", vpath), f"{vpath}.axis")
-            valleys += _valleys(entry, vpath, [_as_unit_tuple(axis, f"{vpath}.axis")])
+            valleys += _valleys(entry, vpath, [axis])
         return ValleySet(tuple(valleys))
     raise ConfigError(f"{path}: expected a preset object or a list of valleys")
 
@@ -260,9 +262,8 @@ def _parse_sweep(doc: dict) -> SweepSpec:
         raw_plane = doc.get("plane", [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
         if not isinstance(raw_plane, list) or len(raw_plane) != 2:
             raise ConfigError(f"{path}.plane: expected two 3-vectors")
-        e1 = Polarization.from_vector(_vector(raw_plane[0], f"{path}.plane[0]")).q0
         # Unit length first: huge components would overflow the norm below.
-        e2 = Polarization.from_vector(_vector(raw_plane[1], f"{path}.plane[1]")).q0
+        e1, e2 = (_vector(axis, f"{path}.plane[{i}]") for i, axis in enumerate(raw_plane))
         # Orthonormalize the second axis against the first.
         overlap = sum(a * b for a, b in zip(e1, e2))
         e2 = [b - overlap * a for a, b in zip(e1, e2)]
@@ -295,8 +296,7 @@ def parse_config(text: str | bytes) -> RunConfig:
     material = _parse_material(_require(doc, "material", "config"))
     valleys = _parse_valleys(_require(doc, "valleys", "config"))
 
-    pol_raw = _vector(_require(doc, "polarization", "config"), "polarization")
-    polarization = Polarization.from_vector(pol_raw)
+    polarization = Polarization(_vector(_require(doc, "polarization", "config"), "polarization"))
 
     sweep = _parse_sweep(_require(doc, "sweep", "config"))
 

@@ -320,10 +320,6 @@ Terms = tuple[list[float], list[tuple[Valley, list[float], list[float], list[flo
 Weighing = tuple[Observable, Callable[[float], float] | None]
 
 
-def _populated(valleys: ValleySet) -> list[Valley]:
-    return [v for v in valleys if v.n > 0.0]
-
-
 def _project(terms: Terms, material: Material, omegas: Sequence[float], pol: Polarization,
              weighings: Sequence[Weighing]) -> list[tuple[float, ...]]:
     """The values of the weighed observables at polarization ``pol``, one tuple
@@ -389,17 +385,17 @@ _WEIGHTS = {
 
 def _terms(mechanism: Mechanism, regime: Regime, valleys: ValleySet, material: Material,
            omegas: Sequence[float]) -> Terms:
-    """The source of every observable, per-valley columns over the grid: the
-    mechanism module's ``_rates`` or closed-form absorption, which checks its
-    regime guards at every frequency before it computes a value.  Only the
-    selected mechanism's module is imported."""
+    """The source of every observable, per-valley columns over the grid: the mechanism
+    module's ``_rates`` or closed-form absorption, which checks its regime guards at every
+    frequency before it computes a value.  An empty valley adds nothing, so the source and
+    its guards see the populated valleys alone.  Only the selected mechanism is imported."""
     if mechanism is Mechanism.IMPURITY:
         from . import impurity as module
     else:
         from . import acoustic as module
     source = (module._rates if regime is Regime.GENERAL else module._classical_absorption
               if regime is Regime.CLASSICAL else module._quantum_absorption)
-    return source(valleys, material, omegas)
+    return source([v for v in valleys if v.n > 0.0], material, omegas)
 
 
 def _weighings(mechanism: Mechanism, regime: Regime,

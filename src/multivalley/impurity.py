@@ -32,8 +32,8 @@ from .geometry import (
     Valley,
     ValleySet,
     Terms,
-    _populated,
     _project,
+    _terms,
     _value,
     check_omega,
     incident_flux,
@@ -116,26 +116,24 @@ def _collision_scale(material: Material) -> float:
     )
 
 
-def _rates(valleys: ValleySet, material: Material, omegas: Sequence[float]) -> Terms:
-    """General-regime rate core: per populated valley, weights of 1 and the
-    pair (r_perp, r_par) at every omega.
+def _rates(valleys: Sequence[Valley], material: Material, omegas: Sequence[float]) -> Terms:
+    """General-regime rate core: per valley (populated: ``geometry._terms``),
+    weights of 1 and the pair (r_perp, r_par) at every omega.
 
-    The pair is the valley's absorption coefficient (cm^-1) before the
-    stimulated-emission factor 1 - e^{-s}, for polarization across and along
-    its axis: the factor (2 pi)^{3/2} :func:`_collision_scale` / (hbar omega^3)
-    times n_i / sqrt(theta_i) times I1 or 2 (m_perp/m_par) I2 of
-    :func:`spectral_endpoints`, which runs over the whole grid once per
-    distinct valley temperature.
+    The pair is the valley's absorption coefficient (cm^-1) before the stimulated-emission
+    factor 1 - e^{-s}, for polarization across and along its axis: the factor (2 pi)^{3/2}
+    :func:`_collision_scale` / (hbar omega^3) times n_i / sqrt(theta_i) times I1 or
+    2 (m_perp/m_par) I2 of :func:`spectral_endpoints`, which runs over the whole grid once
+    per distinct valley temperature.
     """
     from . import quadrature  # at call time: the closed forms run without numpy
 
-    populated = _populated(valleys)
     endpoints = {theta: quadrature._endpoints(material, theta, omegas).tolist()
-                 for theta in dict.fromkeys(v.theta for v in populated)}
+                 for theta in dict.fromkeys(v.theta for v in valleys)}
     coeff = _GENERAL_COEFF * _collision_scale(material)
     twice_ratio = 2.0 * (material.m_perp / material.m_par)
     columns = []
-    for v in populated:
+    for v in valleys:
         i1s, i2s = endpoints[v.theta]
         scale = v.n / math.sqrt(v.theta)
         columns.append((v, [1.0] * len(omegas), [scale * i1 for i1 in i1s],
@@ -154,20 +152,22 @@ def p_plus(
     rate before the stimulated-emission factor times the incident flux of a
     wave of amplitude A0."""
     check_omega(omega)
-    (factor,), columns = _rates(ValleySet((valley,)), material, [omega])
+    (factor,), columns = _terms(Mechanism.IMPURITY, Regime.GENERAL, ValleySet((valley,)),
+                                material, [omega])
     terms = [factor * incident_flux(omega, A0, material.eps0)], columns
     ((value,),) = _project(terms, material, [omega], pol, [(Observable.ABSORPTION, None)])
     return value
 
 
-def check_classical_impurity(valleys: ValleySet, omegas: Sequence[float]) -> None:
+def check_classical_impurity(valleys: Sequence[Valley], omegas: Sequence[float]) -> None:
     """Guard for the classical impurity closed form; raises RegimeError.  Its
     condition on x_min is :func:`special.coulomb_log`'s, which
     :func:`relaxation_impurity` reaches on the same path."""
     check_window(valleys, omegas, Regime.CLASSICAL, "impurity")
 
 
-def check_quantum_impurity(valleys: ValleySet, material: Material, omegas: Sequence[float]) -> None:
+def check_quantum_impurity(valleys: Sequence[Valley], material: Material,
+                           omegas: Sequence[float]) -> None:
     """Quantum impurity guards, at each omega screening before the window; raises RegimeError."""
     r_D = material.require_r_D()
     for omega in omegas:
@@ -180,29 +180,29 @@ def check_quantum_impurity(valleys: ValleySet, material: Material, omegas: Seque
         check_window(valleys, (omega,), Regime.QUANTUM, "impurity")
 
 
-def _classical_absorption(valleys: ValleySet, material: Material,
+def _classical_absorption(valleys: Sequence[Valley], material: Material,
                           omegas: Sequence[float]) -> Terms:
-    """Classical closed-form absorption terms: (3 pi^{3/2}/2) e0^2 n_i /
-    (sqrt(eps0) c omega^2) times (1/(m_perp tau_perp), 1/(m_par tau_par))."""
+    """Classical closed-form terms (valleys populated: ``geometry._terms``): (3 pi^{3/2}/2)
+    e0^2 n_i / (sqrt(eps0) c omega^2) times (1/(m_perp tau_perp), 1/(m_par tau_par))."""
     check_classical_impurity(valleys, omegas)
     coeff = CLASSICAL_COEFF * E_CHARGE**2 / math.sqrt(material.eps0)
-    populated, count = _populated(valleys), len(omegas)
-    taus = {t: relaxation_impurity(material, t) for t in dict.fromkeys(v.theta for v in populated)}
+    taus, count = {t: relaxation_impurity(material, t)
+                   for t in dict.fromkeys(v.theta for v in valleys)}, len(omegas)
     columns = [(v, [v.n] * count, [1.0 / (material.m_perp * taus[v.theta].tau_perp)] * count,
-                [1.0 / (material.m_par * taus[v.theta].tau_par)] * count) for v in populated]
+                [1.0 / (material.m_par * taus[v.theta].tau_par)] * count) for v in valleys]
     return [coeff / (C_LIGHT * omega**2) for omega in omegas], columns
 
 
-def _quantum_absorption(valleys: ValleySet, material: Material,
+def _quantum_absorption(valleys: Sequence[Valley], material: Material,
                         omegas: Sequence[float]) -> Terms:
-    """Quantum closed-form absorption terms: the unscreened shape function
-    Psi(inf) times n_i / (hbar omega)^{3/2}, an omega^-3.5 law.  The (hbar omega)^{3/2} divides
-    the weights, not the factor, whose omega^2 times it would overflow above ~3e99 rad/s."""
+    """Quantum closed-form terms (valleys populated: ``geometry._terms``): Psi(inf), the
+    unscreened shape function, times n_i / (hbar omega)^{3/2}, an omega^-3.5 law.  The power
+    divides the weights, not the factor, whose omega^2 times it would overflow above ~3e99 rad/s."""
     check_quantum_impurity(valleys, material, omegas)
     scale, count = _QUANTUM_COEFF * _collision_scale(material), len(omegas)
     psi_perp, psi_par = psi_infinity(material)
     columns = [(v, [v.n / (HBAR * omega) ** 1.5 for omega in omegas], [psi_perp] * count,
-                [psi_par] * count) for v in _populated(valleys)]
+                [psi_par] * count) for v in valleys]
     return [scale / omega**2 for omega in omegas], columns
 
 

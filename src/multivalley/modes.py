@@ -15,7 +15,7 @@ from .constants import HBAR
 from .errors import ConfigError, RegimeError
 
 if TYPE_CHECKING:  # geometry imports this module
-    from .geometry import ValleySet
+    from .geometry import Valley
 
 __all__ = [
     "Regime",
@@ -79,16 +79,17 @@ def parse(selector: type[E], value: E | str, key: str) -> E:
         raise ConfigError(f"{key}: expected {', '.join(names)} or {last}, got {value!r}") from None
 
 
-def check_window(valleys: ValleySet, omegas: Sequence[float], regime: Regime, form: str) -> None:
+def check_window(valleys: Sequence[Valley], omegas: Sequence[float], regime: Regime,
+                 form: str) -> None:
     """RegimeError at the first omega, in grid order, where s = hbar*omega/theta_i
-    of a populated valley leaves the window of the ``regime`` closed form:
-    s <= CLASSICAL_S_MAX, or s >= QUANTUM_S_MIN.  ``form`` names the mechanism."""
+    of a valley (populated: ``geometry._terms``) leaves the window of the ``regime``
+    closed form: s <= CLASSICAL_S_MAX, or s >= QUANTUM_S_MIN.  ``form`` names the mechanism."""
     classical = regime is Regime.CLASSICAL
     bound, relation = (CLASSICAL_S_MAX, "<=") if classical else (QUANTUM_S_MIN, ">=")
     for omega in omegas:
         for v in valleys:
             s = HBAR * omega / v.theta
-            if v.n > 0.0 and ((s > bound) if classical else (s < bound)):
+            if (s > bound) if classical else (s < bound):
                 raise RegimeError(
                     f"{regime.value} {form} form needs hbar*omega/theta {relation} {bound}, "
                     f"got {s:.3e} at omega = {omega:.6e} rad/s"

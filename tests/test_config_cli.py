@@ -6,6 +6,7 @@ import gc
 import io
 import json
 import math
+import os
 import random
 import re
 import subprocess
@@ -118,6 +119,32 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="points"):
             parse_config(json.dumps(doc))
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("polarization", [0, 0, 0], "polarization must be a non-zero vector of finite length"),
+        ("sweep", {"kind": "phi", "min": 0.0, "max": 3.0, "points": 3, "omega": 1.0e12,
+                   "plane": [[0, 0, 0], [0, 0, 1]]},
+         "sweep.plane[0] must be a non-zero vector of finite length"),
+        ("sweep", {"kind": "phi", "min": 0.0, "max": 3.0, "points": 3, "omega": 1.0e12,
+                   "plane": [[1, 0, 0], [0.0, -0.0, 0.0]]},
+         "sweep.plane[1] must be a non-zero vector of finite length"),
+        ("valleys", {"preset": "GaAs", "n": 1.0e16, "theta_K": 300.0},
+         "valleys.preset: unknown preset 'GaAs'; available: Ge4, Si6"),
+        ("valleys", [], "valleys: at least one valley required"),
+        ("valleys", [{"axis": [0, 0, 1], "n": 1.0e16, "theta_K": 300.0}, 1.0],
+         "valleys[1]: expected an object"),
+    ], ids=["zero-polarization", "zero-plane-0", "zero-plane-1", "unknown-preset",
+            "no-valleys", "valley-not-an-object"])
+    def test_refusal_names_its_field(self, key, value, message):
+        with pytest.raises(ConfigError) as err:
+            parse_config(json.dumps(base_config(**{key: value})))
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("text", ["[]", "1.0", '"config"', "null"])
+    def test_root_must_be_an_object(self, text):
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert str(err.value) == "config root: expected a JSON object"
+
     def test_bad_enums(self):
         with pytest.raises(ConfigError, match="mechanism"):
             parse_config(json.dumps(base_config(mechanism="optical")))
@@ -220,7 +247,7 @@ class TestCli:
         out = tmp_path / "run.csv"
         assert cli.main(["--config", cfg, "--output", str(out)]) == 0
         assert out.exists()
-        assert "2 rows" in capsys.readouterr().out
+        assert capsys.readouterr().out == ""
 
     def test_config_error_exit_two(self, tmp_path, capsys):
         doc = base_config()
@@ -348,15 +375,17 @@ class TestCli:
         assert cli.main(["--config", cfg, "--output", str(tmp_path / "x.csv")]) == 2
         assert "valleys.preset" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("n", [1e-320, 1e-310], ids=["theta-underflow", "n-underflow"])
+    @pytest.mark.parametrize("n", [1e-320, 1e-310, 0.0],
+                             ids=["theta-underflow", "n-underflow", "no-population"])
     def test_underivable_debye_radius_exit_two(self, tmp_path, capsys, n):
         # the docs Si6 config gives no r_D; with these populations the mean
-        # temperature, or 4 pi e0^2 n_total, underflows to 0
+        # temperature, or 4 pi e0^2 n_total, underflows to 0, or there is none
         doc = json.loads((DOCS / "config_si6_hot_polarization.json").read_text())
         doc["valleys"]["n"] = n
         cfg = self.write_config(tmp_path, doc)
         assert cli.main(["--config", cfg, "--output", str(tmp_path / "x.csv")]) == 2
-        assert "material.r_D" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "config error: material.r_D: not given, and not derivable from the populations\n")
 
     @pytest.mark.parametrize("omega", [1e10, 1e12, 1e-20])
     def test_vanishing_acoustic_kernel_argument_exit_four(self, tmp_path, capsys, omega):
@@ -635,6 +664,53 @@ def test_cli_runs_without_scipy(tmp_path, checkout_env, name):
     expected = tmp_path / "in_process.csv"
     write_csv(run_sweep(parse_config((DOCS / name).read_text())), str(expected))
     assert out.read_bytes() == expected.read_bytes()
+
+
+# -- stdout ------------------------------------------------------------------
+
+GE4 = str(DOCS / "config_ge4_spectrum.json")
+CLI = [sys.executable, "-m", "multivalley.cli"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+def test_output_to_dev_stdout_is_the_file_output(tmp_path, checkout_env):
+    # the CLI prints nothing on success, so the CSV written through
+    # /dev/stdout into a redirected file is the whole file, header first
+    piped = tmp_path / "stdout.csv"
+    with open(piped, "wb") as stdout:
+        proc = subprocess.run(CLI + ["--config", GE4, "--output", "/dev/stdout"], stdout=stdout,
+                              stderr=subprocess.PIPE, env=checkout_env, cwd=tmp_path, timeout=120)
+    assert proc.returncode == 0 and proc.stderr == b""
+    proc = subprocess.run(CLI + ["--config", GE4, "--output", str(tmp_path / "file.csv")],
+                          capture_output=True, env=checkout_env, cwd=tmp_path, timeout=120)
+    assert proc.returncode == 0 and proc.stdout == proc.stderr == b""
+    assert piped.read_bytes() == (tmp_path / "file.csv").read_bytes()
+
+
+def run_into_a_closed_pipe(argv, env, cwd):
+    """``argv`` run with its stdout the write end of a pipe whose read end is
+    closed before the spawn, so any write to stdout meets a broken pipe."""
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        return subprocess.run(argv, stdout=write, stderr=subprocess.PIPE, env=env, cwd=cwd,
+                              text=True, timeout=120)
+    finally:
+        os.close(write)
+
+
+def test_run_into_a_closed_pipe_exits_zero(tmp_path, checkout_env):
+    out = tmp_path / "run.csv"
+    proc = run_into_a_closed_pipe(CLI + ["--config", GE4, "--output", str(out)],
+                                  checkout_env, tmp_path)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert out.read_text().startswith("omega_rad_per_s,")
+
+
+@pytest.mark.parametrize("flag", ["--help", "-h"])
+def test_help_into_a_closed_pipe_exits_one(tmp_path, checkout_env, flag):
+    proc = run_into_a_closed_pipe(CLI + [flag], checkout_env, tmp_path)
+    assert proc.returncode == 1 and proc.stderr == ""  # no traceback, no "Exception ignored"
 
 
 # -- the process entry ---------------------------------------------------------

@@ -51,6 +51,18 @@ class TestPhotonNormalization:
             1.4962297515050652e-6, rel=1e-12, abs=0
         )
 
+    @pytest.mark.parametrize("function", [photon_amplitude, mode_density])
+    @pytest.mark.parametrize("omega, volume", [(0.0, 1.0), (-1e14, 1.0), (1e14, 0.0),
+                                               (1e14, -1.0)])
+    def test_non_positive_inputs_rejected(self, function, omega, volume):
+        with pytest.raises(ValueError, match="omega and volume must be positive"):
+            function(omega, volume)
+
+    def test_negative_intensity_rejected(self):
+        with pytest.raises(ValueError, match="emission intensity must be >= 0"):
+            mv.EmissionResult(dW_dOmega=-1.0, omega=1e14, regime=mv.Regime.GENERAL,
+                              mechanism=mv.Mechanism.IMPURITY)
+
 
 class TestEmissionImpurity:
     def test_recipe_reproduces_closed_general_form(

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -7,7 +8,8 @@ import pytest
 
 import multivalley as mv
 from multivalley import geometry
-from multivalley.errors import ConfigError
+from multivalley.constants import HBAR
+from multivalley.errors import ConfigError, RegimeError
 from multivalley.geometry import cos_phi, debye_radius, incident_flux
 
 K300 = mv.theta_from_kelvin(300.0)
@@ -102,6 +104,24 @@ class TestValidation:
         with pytest.raises(ConfigError):
             mv.ValleySet(())
 
+    def test_axis_needs_three_components(self):
+        with pytest.raises(ConfigError, match="axis must have 3 components, got 2"):
+            mv.Valley.from_units([1.0, 0.0], n=1.0, theta_K=300.0)
+
+    @pytest.mark.parametrize("m_perp", [0.0, -1e-28])
+    def test_non_positive_m_perp_rejected(self, m_perp):
+        with pytest.raises(ConfigError, match="m_perp must be positive and finite"):
+            mv.Material(m_perp=m_perp, m_par=1e-27, eps0=16.0, n_a=1e16,
+                        tau_perp0=1e-12, tau_par0=1e-12)
+
+    @pytest.mark.parametrize("n, theta, message", [
+        ([1.0, 2.0], K300, "n needs 1 or 4 entries, got 2"),
+        (1.0, [K300] * 5, "theta needs 1 or 4 entries, got 5"),
+    ])
+    def test_with_population_of_the_wrong_length(self, n, theta, message):
+        with pytest.raises(ConfigError, match=message):
+            mv.load_preset("Ge4").with_population(n, theta)
+
     def test_theta_units_exclusive(self):
         with pytest.raises(ConfigError):
             mv.Valley.from_units([0, 0, 1], n=1.0)
@@ -187,3 +207,45 @@ class TestProjection:
         result = self.run_both("config_si6_hot_polarization.json")
         assert len(result.rows) == 37
         assert len(cos_phi_calls) == 37 * 6
+
+
+# Each public observable, as a value, by (mechanism, observable).
+OBSERVE = {
+    ("impurity", "absorption"): mv.absorption_impurity,
+    ("acoustic", "absorption"): mv.absorption_acoustic,
+    ("impurity", "emission"): lambda *args: mv.emission_impurity(*args).dW_dOmega,
+    ("acoustic", "emission"): lambda *args: mv.emission_acoustic(*args).dW_dOmega,
+}
+# Frequencies (rad/s) inside each regime's window for 300-K valleys.
+WINDOWS = {"general": (1e11, 1e13, 1e15), "classical": (1e10, 1e11, 1e12),
+           "quantum": (2e15, 5e15, 2e16)}
+
+
+@pytest.mark.parametrize("regime", WINDOWS)
+@pytest.mark.parametrize("mechanism", ["impurity", "acoustic"])
+class TestEmptyValleys:
+    # geometry._terms hands every source the populated valleys alone: an empty
+    # valley at s = hbar omega/theta = 1, outside both closed-form windows, is
+    # neither refused nor counted
+    def test_empty_valley_outside_the_window_changes_nothing(
+            self, ge_material, pol_skew, mechanism, regime):
+        populated = mv.load_preset("Ge4").with_population([1e16, 2e15, 0.0, 5e15], K300)
+        for omega in WINDOWS[regime]:
+            empty = mv.Valley(axis=(0.0, 0.0, 1.0), n=0.0, theta=HBAR * omega)
+            with_empty = mv.ValleySet((empty,) + populated.valleys)
+            for observable in ("absorption", "emission"):
+                observe = OBSERVE[mechanism, observable]
+                value = observe(populated, ge_material, omega, pol_skew, regime)
+                assert value > 0.0
+                assert observe(with_empty, ge_material, omega, pol_skew, regime) == value
+            if regime != "general":  # populated, the same valley is refused
+                lone = mv.ValleySet((dataclasses.replace(empty, n=1e16),))
+                with pytest.raises(RegimeError):
+                    OBSERVE[mechanism, "absorption"](lone, ge_material, omega, pol_skew, regime)
+
+    def test_all_empty_gives_zero(self, ge_material, pol_skew, mechanism, regime):
+        for omega in WINDOWS[regime]:
+            empty = mv.load_preset("Ge4").with_population(0.0, HBAR * omega)
+            for observable in ("absorption", "emission"):
+                observe = OBSERVE[mechanism, observable]
+                assert observe(empty, ge_material, omega, pol_skew, regime) == 0.0

@@ -12,6 +12,7 @@ from multivalley.constants import C_LIGHT, E_CHARGE, HBAR
 from multivalley.errors import RegimeError
 from multivalley.geometry import cos_phi, incident_flux
 from multivalley.impurity import (
+    RelaxationTensor,
     combine_endpoints,
     p_plus,
     relaxation_impurity,
@@ -284,6 +285,12 @@ class TestPolarizationLaw:
 
 
 class TestRelaxationTensor:
+    @pytest.mark.parametrize("tau_perp, tau_par", [(0.0, 1e-12), (1e-12, -1e-12),
+                                                   (math.nan, 1e-12)])
+    def test_non_positive_times_rejected(self, tau_perp, tau_par):
+        with pytest.raises(ValueError, match="relaxation times must be positive"):
+            RelaxationTensor(tau_perp=tau_perp, tau_par=tau_par)
+
     def test_rate_linear_in_impurity_density(self, ge_material, theta_300):
         tau = relaxation_impurity(ge_material, theta_300)
         doubled = relaxation_impurity(

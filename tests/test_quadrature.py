@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import multivalley as mv
+from multivalley import quadrature
 from multivalley.errors import QuadratureError
 from multivalley.oracles import integrate_unit_sphere
 from multivalley.quadrature import (
@@ -94,17 +95,14 @@ class TestSpectral:
 
 def reference_integrate(g, s, rel_tol=DEFAULT_QUADRATURE.rel_tol):
     """The rule one s at a time, with the error estimate summed panel by
-    panel in Python: the reference for the batched core."""
-    t_max = math.sqrt(-math.log(rel_tol) + 18.5)
-    t0 = 0.25 * min(max(math.sqrt(s), 1e-8), 1.0)
-    n_geometric = math.ceil(math.log(1.0 / t0) / math.log(1.6))
+    panel in Python: the reference for the batched core.  The panel layout is
+    read from the module (the grading floor, the geometric ratio and the tail
+    edges), so a change of layout is judged by the sums, not by a copy of it."""
+    t0 = 0.25 * min(max(math.sqrt(s), quadrature._ROOT_S_MIN), 1.0)
+    n_geometric = math.ceil(math.log(1.0 / t0) / math.log(quadrature._GEOMETRIC_RATIO))
     ratio = (1.0 / t0) ** (1.0 / n_geometric)
-    n_tail = math.ceil((t_max - 1.0) / 0.5)
-    tail_width = (t_max - 1.0) / n_tail
-    edges = np.array(
-        [0.0] + [t0 * ratio**k for k in range(n_geometric)]
-        + [1.0 + k * tail_width for k in range(n_tail)] + [t_max]
-    )
+    edges = np.array([0.0] + [t0 * ratio**k for k in range(n_geometric)]
+                     + [1.0] + quadrature._tail_edges(rel_tol).tolist())
     width = edges[1:] - edges[:-1]
     t = (edges[:-1] + 0.5 * width)[:, None] + (0.5 * width)[:, None] * _NODES
     x = t * t

@@ -96,6 +96,12 @@ class TestShapeFactors:
         assert shape_b1(b) == pytest.approx(4.0 / (3.0 * b**4), rel=1e-4, abs=0)
         assert shape_b2(b) == pytest.approx(2.0 / (3.0 * b**4), rel=1e-4, abs=0)
 
+    @pytest.mark.parametrize("shape", [shape_b1, shape_b2])
+    @pytest.mark.parametrize("b", [0.0, -1.0])
+    def test_non_positive_b_rejected(self, shape, b):
+        with pytest.raises(ValueError, match="b must be positive"):
+            shape(b)
+
     def test_array_kernel_matches_scalar(self):
         # The grid crosses the b = 8 switch to the tail series.  Below it the
         # direct formulas cancel to O(b^-4) from O(b^-2) terms, so a one-ulp
@@ -168,6 +174,11 @@ class TestCoulombLog:
     def test_guard_triggers(self):
         with pytest.raises(RegimeError):
             coulomb_log(math.exp(-EULER_GAMMA))  # ~0.5615, out of range
+
+    @pytest.mark.parametrize("x", [0.0, -1e-4])
+    def test_non_positive_x_min_rejected(self, x):
+        with pytest.raises(ValueError, match="x_min must be positive"):
+            coulomb_log(x)
 
     def test_reference_value(self):
         assert coulomb_log(1e-4) == pytest.approx(8.6331247070746499, rel=1e-14, abs=0)
